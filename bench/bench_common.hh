@@ -39,7 +39,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -88,21 +87,6 @@ scaleName(Scale scale)
     return "default";
 }
 
-inline std::vector<std::uint64_t>
-parseSizeList(const std::string &text)
-{
-    std::vector<std::uint64_t> sizes;
-    std::stringstream stream(text);
-    std::string token;
-    while (std::getline(stream, token, ',')) {
-        bool ok = false;
-        std::uint64_t size = Config::parseSize(token, &ok);
-        fatal_if(!ok, "bad size '", token, "'");
-        sizes.push_back(size);
-    }
-    return sizes;
-}
-
 inline BenchOptions
 parseBenchArgs(int argc, char **argv)
 {
@@ -114,26 +98,15 @@ parseBenchArgs(int argc, char **argv)
         options.scale = Scale::Full;
     options.csv = options.config.getBool("csv", false);
 
-    if (options.config.has("sizes")) {
-        options.sccSizes =
-            parseSizeList(options.config.getString("sizes"));
-    } else if (options.scale == Scale::Quick) {
-        options.sccSizes = {4ull << 10, 32ull << 10, 256ull << 10};
-    } else {
-        options.sccSizes = DesignSpace::paperSccSizes();
-    }
-
-    if (options.config.has("procs")) {
-        options.clusterSizes.clear();
-        std::stringstream stream(options.config.getString("procs"));
-        std::string token;
-        while (std::getline(stream, token, ','))
-            options.clusterSizes.push_back(std::stoi(token));
-    } else if (options.scale == Scale::Quick) {
-        options.clusterSizes = {1, 2, 8};
-    } else {
-        options.clusterSizes = DesignSpace::paperClusterSizes();
-    }
+    bool quick = options.scale == Scale::Quick;
+    options.sccSizes = options.config.getSizeList(
+        "sizes", quick ? std::vector<std::uint64_t>{4ull << 10,
+                                                     32ull << 10,
+                                                     256ull << 10}
+                       : DesignSpace::paperSccSizes());
+    options.clusterSizes = options.config.getIntList(
+        "procs", quick ? std::vector<int>{1, 2, 8}
+                       : DesignSpace::paperClusterSizes());
 
     // Sweep execution knobs: every DesignSpace::sweep call in this
     // binary runs through the executor with these settings.

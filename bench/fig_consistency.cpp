@@ -6,7 +6,7 @@
  * The paper's machine is sequentially consistent: every store holds
  * its processor until the bus transaction completes. This figure
  * runs SPLASH points over {sc, weak} × {atomic, split} × {rr,
- * priority} through DesignSpace::consistencySweep — under weak
+ * priority} through sweep::consistencyPoints — under weak
  * ordering stores retire into a per-CPU store buffer (src/mem/
  * store_buffer) and drain lazily, so the processor only ever waits
  * for stores at synchronization — and reports execution time plus
@@ -60,18 +60,21 @@ main(int argc, char **argv)
     };
 
     for (const Study &study : studies) {
-        auto points = DesignSpace::consistencySweep(
-            study.factory, base, models, topologies, arbitrations,
-            options.sweep.verbose);
+        auto points = sweep::SweepExecutor(options.sweep)
+                          .run(study.factory,
+                               sweep::consistencyPoints(
+                                   base, models, topologies,
+                                   arbitrations));
 
         auto pointAt = [&](ConsistencyModel model,
                            NetTopology topology,
                            NetArbitration arbitration)
-            -> const ConsistencyPoint & {
-            for (const ConsistencyPoint &p : points) {
-                if (p.model == model && p.topology == topology &&
-                    p.arbitration == arbitration)
-                    return p;
+            -> const RunResult & {
+            for (const sweep::SweepPoint &p : points) {
+                if (p.config.consistency.model == model &&
+                    p.config.net.topology == topology &&
+                    p.config.net.arbitration == arbitration)
+                    return p.result;
             }
             fatal("consistency point missing from sweep");
         };
@@ -97,18 +100,17 @@ main(int argc, char **argv)
         time.setHeader(
             {"Fabric", "sc", "weak", "weak speedup", "bus util sc"});
         for (const Row &row : rows) {
-            const ConsistencyPoint &sc = pointAt(
+            const RunResult &sc = pointAt(
                 ConsistencyModel::Sc, row.topology, row.arbitration);
-            const ConsistencyPoint &weak =
+            const RunResult &weak =
                 pointAt(ConsistencyModel::Weak, row.topology,
                         row.arbitration);
             time.addRow({std::string(row.label),
-                         Table::cell(sc.result.cycles),
-                         Table::cell(weak.result.cycles),
-                         Table::cell((double)sc.result.cycles /
-                                         (double)weak.result.cycles,
+                         Table::cell(sc.cycles), Table::cell(weak.cycles),
+                         Table::cell((double)sc.cycles /
+                                         (double)weak.cycles,
                                      3),
-                         Table::cell(sc.result.busUtilization, 4)});
+                         Table::cell(sc.busUtilization, 4)});
         }
         bench::emit(time, options);
     }

@@ -33,20 +33,10 @@ main(int argc, char **argv)
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
 
-    std::vector<int> channelCounts = {1, 2, 4};
-    if (options.config.has("channels")) {
-        channelCounts.clear();
-        for (std::uint64_t v : bench::parseSizeList(
-                 options.config.getString("channels")))
-            channelCounts.push_back((int)v);
-    }
-    std::vector<int> bankCounts = {1, 2, 4, 8};
-    if (options.config.has("mem-banks")) {
-        bankCounts.clear();
-        for (std::uint64_t v : bench::parseSizeList(
-                 options.config.getString("mem-banks")))
-            bankCounts.push_back((int)v);
-    }
+    std::vector<int> channelCounts =
+        options.config.getIntList("channels", {1, 2, 4});
+    std::vector<int> bankCounts =
+        options.config.getIntList("mem-banks", {1, 2, 4, 8});
     const std::vector<MemSched> scheds = {MemSched::Fcfs,
                                           MemSched::FrFcfs};
 
@@ -68,16 +58,17 @@ main(int argc, char **argv)
         flat = runParallel(base, *workload);
     }
 
-    auto points = DesignSpace::memScalingSweep(
-        factory, base, channelCounts, bankCounts, scheds,
-        options.sweep.verbose);
+    auto points = sweep::SweepExecutor(options.sweep)
+                      .run(factory, sweep::memPoints(base, channelCounts,
+                                                     bankCounts, scheds));
 
     auto pointAt = [&](MemSched sched, int channels,
-                       int banks) -> const MemPoint & {
-        for (const MemPoint &p : points) {
-            if (p.sched == sched && p.channels == channels &&
-                p.banks == banks)
-                return p;
+                       int banks) -> const RunResult & {
+        for (const sweep::SweepPoint &p : points) {
+            const DramParams &dram = p.config.dram;
+            if (dram.sched == sched && dram.channels == channels &&
+                dram.banks == banks)
+                return p.result;
         }
         fatal("mem scaling point missing from sweep");
     };
@@ -101,7 +92,7 @@ main(int argc, char **argv)
         for (MemSched sched : scheds) {
             for (int channels : channelCounts) {
                 row.push_back(Table::cell(
-                    pointAt(sched, channels, banks).result.cycles));
+                    pointAt(sched, channels, banks).cycles));
             }
         }
         row.push_back(Table::cell(flat.cycles));
@@ -117,8 +108,7 @@ main(int argc, char **argv)
         for (MemSched sched : scheds) {
             for (int channels : channelCounts) {
                 row.push_back(Table::cell(
-                    pointAt(sched, channels, banks)
-                        .result.dramRowHitRate,
+                    pointAt(sched, channels, banks).dramRowHitRate,
                     4));
             }
         }

@@ -29,13 +29,8 @@ main(int argc, char **argv)
     using namespace scmp;
     auto options = bench::parseBenchArgs(argc, argv);
 
-    std::vector<int> clusterCounts = {1, 2, 4, 8};
-    if (options.config.has("clusters")) {
-        clusterCounts.clear();
-        for (std::uint64_t v : bench::parseSizeList(
-                 options.config.getString("clusters")))
-            clusterCounts.push_back((int)v);
-    }
+    std::vector<int> clusterCounts =
+        options.config.getIntList("clusters", {1, 2, 4, 8});
     const std::vector<NetTopology> topologies = {
         NetTopology::Atomic, NetTopology::Split, NetTopology::Tree};
 
@@ -55,15 +50,17 @@ main(int argc, char **argv)
     base.bus.transferOccupancy =
         (Cycle)options.config.getInt("bus-occupancy", 8);
 
-    auto points = DesignSpace::netScalingSweep(
-        bench::barnesFactory(options), base, clusterCounts,
-        topologies, options.sweep.verbose);
+    auto points = sweep::SweepExecutor(options.sweep)
+                      .run(bench::barnesFactory(options),
+                           sweep::netPoints(base, clusterCounts,
+                                            topologies));
 
     auto pointAt = [&](NetTopology topology,
-                       int clusters) -> const NetPoint & {
-        for (const NetPoint &p : points) {
-            if (p.topology == topology && p.clusters == clusters)
-                return p;
+                       int clusters) -> const RunResult & {
+        for (const sweep::SweepPoint &p : points) {
+            if (p.config.net.topology == topology &&
+                p.config.numClusters == clusters)
+                return p.result;
         }
         fatal("net scaling point missing from sweep");
     };
@@ -73,15 +70,13 @@ main(int argc, char **argv)
     time.setHeader({"Clusters", "atomic", "split", "tree",
                     "tree/atomic"});
     for (int clusters : clusterCounts) {
-        const NetPoint &a = pointAt(NetTopology::Atomic, clusters);
-        const NetPoint &s = pointAt(NetTopology::Split, clusters);
-        const NetPoint &t = pointAt(NetTopology::Tree, clusters);
+        const RunResult &a = pointAt(NetTopology::Atomic, clusters);
+        const RunResult &s = pointAt(NetTopology::Split, clusters);
+        const RunResult &t = pointAt(NetTopology::Tree, clusters);
         time.addRow({Table::cell((std::uint64_t)clusters),
-                     Table::cell(a.result.cycles),
-                     Table::cell(s.result.cycles),
-                     Table::cell(t.result.cycles),
-                     Table::cell((double)t.result.cycles /
-                                     (double)a.result.cycles,
+                     Table::cell(a.cycles), Table::cell(s.cycles),
+                     Table::cell(t.cycles),
+                     Table::cell((double)t.cycles / (double)a.cycles,
                                  3)});
     }
     bench::emit(time, options);
@@ -90,14 +85,14 @@ main(int argc, char **argv)
     util.setHeader({"Clusters", "atomic", "split", "tree",
                     "busTx (atomic)"});
     for (int clusters : clusterCounts) {
-        const NetPoint &a = pointAt(NetTopology::Atomic, clusters);
-        const NetPoint &s = pointAt(NetTopology::Split, clusters);
-        const NetPoint &t = pointAt(NetTopology::Tree, clusters);
+        const RunResult &a = pointAt(NetTopology::Atomic, clusters);
+        const RunResult &s = pointAt(NetTopology::Split, clusters);
+        const RunResult &t = pointAt(NetTopology::Tree, clusters);
         util.addRow({Table::cell((std::uint64_t)clusters),
-                     Table::cell(a.result.busUtilization, 4),
-                     Table::cell(s.result.busUtilization, 4),
-                     Table::cell(t.result.busUtilization, 4),
-                     Table::cell(a.result.busTransactions)});
+                     Table::cell(a.busUtilization, 4),
+                     Table::cell(s.busUtilization, 4),
+                     Table::cell(t.busUtilization, 4),
+                     Table::cell(a.busTransactions)});
     }
     bench::emit(util, options);
     return 0;

@@ -3,7 +3,7 @@
  * Cache-isolation study: what does closing the shared-cache side
  * channel cost on this machine?
  *
- * Two halves, both through DesignSpace::isolationSweep over
+ * Two halves, both through sweep::isolationPoints over
  * {none, waypart, color, rand} × {2, 4} security domains at a
  * fixed 4-way 64KB SCC (4 ways so way partitioning divides).
  *
@@ -30,7 +30,6 @@
 
 #include <cstdio>
 #include <iostream>
-#include <sstream>
 
 #include "bench_common.hh"
 #include "workloads/sec/prime_probe.hh"
@@ -43,24 +42,31 @@ using namespace scmp;
 struct CostReport
 {
     std::string workload;
-    std::vector<IsolationPoint> points;
+    std::vector<sweep::SweepPoint> points;
     Cycle baseline = 0;
 };
+
+/** A point's domain count as reported: 0 for the open cache. */
+int
+domainsOf(const sweep::SweepPoint &p)
+{
+    const SecParams &sec = p.config.scc.sec;
+    return sec.mode == IsolationMode::None ? 0 : sec.domains;
+}
 
 void
 writeJson(const std::string &path, const char *scale,
           const std::vector<CostReport> &costs,
-          const std::vector<IsolationPoint> &channel)
+          const std::vector<sweep::SweepPoint> &channel)
 {
     std::FILE *file = std::fopen(path.c_str(), "w");
     fatal_if(!file, "cannot write ", path);
     auto put = [file](const char *fmt, auto... args) {
         std::fprintf(file, fmt, args...);
     };
-    auto head = [&put](const IsolationPoint &p) {
+    auto head = [&put](const sweep::SweepPoint &p) {
         put("    {\"isolation\": \"%s\", \"domains\": %d",
-            isolationModeName(p.mode),
-            p.mode == IsolationMode::None ? 0 : p.domains);
+            isolationModeName(p.config.scc.sec.mode), domainsOf(p));
     };
 
     put("{\n  \"bench\": \"fig_sec\",\n");
@@ -68,7 +74,7 @@ writeJson(const std::string &path, const char *scale,
 
     put("  \"channel\": [\n");
     for (std::size_t i = 0; i < channel.size(); ++i) {
-        const IsolationPoint &p = channel[i];
+        const sweep::SweepPoint &p = channel[i];
         head(p);
         put(", \"cycles\": %llu, \"probeAccuracy\": %.4f, "
             "\"chanceAccuracy\": %.4f, \"bitsPerEpoch\": %.4f}%s\n",
@@ -83,12 +89,12 @@ writeJson(const std::string &path, const char *scale,
     for (std::size_t c = 0; c < costs.size(); ++c) {
         const CostReport &cost = costs[c];
         for (std::size_t i = 0; i < cost.points.size(); ++i) {
-            const IsolationPoint &p = cost.points[i];
+            const sweep::SweepPoint &p = cost.points[i];
             put("    {\"workload\": \"%s\", ",
                 cost.workload.c_str());
             put("\"isolation\": \"%s\", \"domains\": %d",
-                isolationModeName(p.mode),
-                p.mode == IsolationMode::None ? 0 : p.domains);
+                isolationModeName(p.config.scc.sec.mode),
+                domainsOf(p));
             put(", \"cycles\": %llu, \"readMissRate\": %.4f, "
                 "\"slowdown\": %.4f}%s\n",
                 (unsigned long long)p.result.cycles,
@@ -118,15 +124,8 @@ main(int argc, char **argv)
         IsolationMode::Color,
         IsolationMode::Rand,
     };
-    std::vector<int> domainCounts = {2, 4};
-    if (options.config.has("domains")) {
-        domainCounts.clear();
-        std::stringstream stream(
-            options.config.getString("domains"));
-        std::string token;
-        while (std::getline(stream, token, ','))
-            domainCounts.push_back(std::stoi(token));
-    }
+    std::vector<int> domainCounts =
+        options.config.getIntList("domains", {2, 4});
 
     MachineConfig base;
     base.numClusters = 4;
@@ -166,11 +165,12 @@ main(int argc, char **argv)
     for (const Study &study : studies) {
         CostReport cost;
         cost.workload = study.name;
-        cost.points = DesignSpace::isolationSweep(
-            study.factory, base, modes, domainCounts,
-            options.sweep.verbose);
-        for (const IsolationPoint &p : cost.points) {
-            if (p.mode == IsolationMode::None)
+        cost.points = sweep::SweepExecutor(options.sweep)
+                          .run(study.factory,
+                               sweep::isolationPoints(base, modes,
+                                                      domainCounts));
+        for (const sweep::SweepPoint &p : cost.points) {
+            if (p.config.scc.sec.mode == IsolationMode::None)
                 cost.baseline = p.result.cycles;
         }
         fatal_if(cost.baseline == 0,
@@ -181,12 +181,11 @@ main(int argc, char **argv)
                     "--isolation=none cache)");
         table.setHeader({"Isolation", "Domains", "Cycles",
                          "Read miss", "Slowdown"});
-        for (const IsolationPoint &p : cost.points) {
+        for (const sweep::SweepPoint &p : cost.points) {
+            int domains = domainsOf(p);
             table.addRow(
-                {isolationModeName(p.mode),
-                 p.mode == IsolationMode::None
-                     ? "-"
-                     : Table::cell((std::uint64_t)p.domains),
+                {isolationModeName(p.config.scc.sec.mode),
+                 domains ? Table::cell((std::uint64_t)domains) : "-",
                  Table::cell(p.result.cycles),
                  Table::cell(p.result.readMissRate, 4),
                  Table::cell((double)p.result.cycles /
@@ -207,21 +206,20 @@ main(int argc, char **argv)
         return std::make_unique<secwork::PrimeProbeWorkload>(
             spyParams);
     };
-    auto channel = DesignSpace::isolationSweep(
-        spyFactory, base, modes, domainCounts,
-        options.sweep.verbose);
+    auto channel = sweep::SweepExecutor(options.sweep)
+                       .run(spyFactory, sweep::isolationPoints(
+                                            base, modes, domainCounts));
 
     Table table("Side channel: prime+probe 4x4, 64KB 4-way "
                 "SCC (8-symbol secret, differential probe "
                 "decoder)");
     table.setHeader({"Isolation", "Domains", "Cycles",
                      "Accuracy", "Chance", "Bits/epoch"});
-    for (const IsolationPoint &p : channel) {
+    for (const sweep::SweepPoint &p : channel) {
+        int domains = domainsOf(p);
         table.addRow(
-            {isolationModeName(p.mode),
-             p.mode == IsolationMode::None
-                 ? "-"
-                 : Table::cell((std::uint64_t)p.domains),
+            {isolationModeName(p.config.scc.sec.mode),
+             domains ? Table::cell((std::uint64_t)domains) : "-",
              Table::cell(p.result.cycles),
              Table::cell(p.result.secProbeAccuracy, 3),
              Table::cell(p.result.secChanceAccuracy, 3),

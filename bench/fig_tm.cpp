@@ -4,7 +4,7 @@
  * on the shared-cache machine?
  *
  * Runs the STAMP-character workloads (src/workloads/tm) through
- * DesignSpace::tmSweep over {off, eager, lazy} × {atomic, split}
+ * sweep::tmPoints over {off, eager, lazy} × {atomic, split}
  * × speculative set sizes. --tm=off executes the very same
  * transaction call sites as plain lock/unlock critical sections,
  * so its rows are the lock baseline the speedups are measured
@@ -34,15 +34,8 @@ main(int argc, char **argv)
                                        TmMode::Lazy};
     const std::vector<NetTopology> topologies = {
         NetTopology::Atomic, NetTopology::Split};
-    std::vector<int> setSizes = {2, 64};
-    if (options.config.has("set-entries")) {
-        setSizes.clear();
-        std::stringstream stream(
-            options.config.getString("set-entries"));
-        std::string token;
-        while (std::getline(stream, token, ','))
-            setSizes.push_back(std::stoi(token));
-    }
+    std::vector<int> setSizes =
+        options.config.getIntList("set-entries", {2, 64});
 
     MachineConfig base;
     base.numClusters = 4;
@@ -85,14 +78,15 @@ main(int argc, char **argv)
     };
 
     for (const Study &study : studies) {
-        auto points = DesignSpace::tmSweep(
-            study.factory, base, modes, topologies, setSizes,
-            options.sweep.verbose);
+        auto points = sweep::SweepExecutor(options.sweep)
+                          .run(study.factory,
+                               sweep::tmPoints(base, modes, topologies,
+                                               setSizes));
 
         auto baselineAt = [&](NetTopology topology) -> Cycle {
-            for (const TmPoint &p : points) {
-                if (p.mode == TmMode::Off &&
-                    p.topology == topology)
+            for (const sweep::SweepPoint &p : points) {
+                if (p.config.tm.mode == TmMode::Off &&
+                    p.config.net.topology == topology)
                     return p.result.cycles;
             }
             fatal("tm lock baseline missing from sweep");
@@ -104,23 +98,24 @@ main(int argc, char **argv)
         table.setHeader({"Fabric", "Manager", "Set", "Cycles",
                          "Commits", "Abort rate", "Fallbacks",
                          "Speedup"});
-        for (const TmPoint &p : points) {
-            if (p.mode == TmMode::Off) {
-                table.addRow(
-                    {netTopologyName(p.topology), "lock", "-",
-                     Table::cell(p.result.cycles), "-", "-", "-",
-                     Table::cell(1.0, 3)});
+        for (const sweep::SweepPoint &p : points) {
+            const TmParams &tm = p.config.tm;
+            NetTopology topology = p.config.net.topology;
+            const RunResult &r = p.result;
+            if (tm.mode == TmMode::Off) {
+                table.addRow({netTopologyName(topology), "lock", "-",
+                              Table::cell(r.cycles), "-", "-", "-",
+                              Table::cell(1.0, 3)});
                 continue;
             }
             table.addRow(
-                {netTopologyName(p.topology), tmModeName(p.mode),
-                 Table::cell((std::uint64_t)p.setEntries),
-                 Table::cell(p.result.cycles),
-                 Table::cell(p.result.tmCommits),
-                 Table::cell(p.result.tmAbortRate, 3),
-                 Table::cell(p.result.tmFallbacks),
-                 Table::cell((double)baselineAt(p.topology) /
-                                 (double)p.result.cycles,
+                {netTopologyName(topology), tmModeName(tm.mode),
+                 Table::cell((std::uint64_t)tm.setEntries),
+                 Table::cell(r.cycles), Table::cell(r.tmCommits),
+                 Table::cell(r.tmAbortRate, 3),
+                 Table::cell(r.tmFallbacks),
+                 Table::cell((double)baselineAt(topology) /
+                                 (double)r.cycles,
                              3)});
         }
         bench::emit(table, options);

@@ -32,7 +32,6 @@
 
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,26 +61,10 @@ main(int argc, char **argv)
                  arrival, "')");
     params.thinkTime = (Cycle)config.getInt("think", 400);
 
-    std::vector<int> procs;
-    {
-        std::stringstream stream(
-            config.getString("procs", "1,2,4,8"));
-        std::string token;
-        while (std::getline(stream, token, ','))
-            procs.push_back(std::stoi(token));
-    }
-    std::vector<std::uint64_t> sccSizes;
-    {
-        std::stringstream stream(
-            config.getString("scc", "32K,128K"));
-        std::string token;
-        while (std::getline(stream, token, ',')) {
-            bool ok = false;
-            std::uint64_t size = Config::parseSize(token, &ok);
-            fatal_if(!ok, "bad size '", token, "'");
-            sccSizes.push_back(size);
-        }
-    }
+    std::vector<int> procs =
+        config.getIntList("procs", {1, 2, 4, 8});
+    std::vector<std::uint64_t> sccSizes =
+        config.getSizeList("scc", {32ull << 10, 128ull << 10});
 
     sweep::SweepOptions options;
     std::string jobsText = config.getString("jobs", "1");

@@ -17,7 +17,6 @@
 
 #include <cstdio>
 #include <iostream>
-#include <sstream>
 
 #include "core/design_space.hh"
 #include "sim/config.hh"
@@ -25,38 +24,6 @@
 #include "workloads/splash/barnes.hh"
 #include "workloads/splash/cholesky.hh"
 #include "workloads/splash/mp3d.hh"
-
-namespace
-{
-
-std::vector<std::uint64_t>
-parseSizes(const std::string &text)
-{
-    std::vector<std::uint64_t> sizes;
-    std::stringstream stream(text);
-    std::string token;
-    while (std::getline(stream, token, ',')) {
-        bool ok = false;
-        std::uint64_t size = scmp::Config::parseSize(token, &ok);
-        if (!ok)
-            fatal("bad size '", token, "' in --sizes");
-        sizes.push_back(size);
-    }
-    return sizes;
-}
-
-std::vector<int>
-parseProcs(const std::string &text)
-{
-    std::vector<int> procs;
-    std::stringstream stream(text);
-    std::string token;
-    while (std::getline(stream, token, ','))
-        procs.push_back(std::stoi(token));
-    return procs;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -67,12 +34,10 @@ main(int argc, char **argv)
         positional.empty() ? "barnes" : positional[0];
     bool quick = config.getBool("quick", false);
 
-    auto sizes = config.has("sizes")
-                     ? parseSizes(config.getString("sizes"))
-                     : scmp::DesignSpace::paperSccSizes();
-    auto procs = config.has("procs")
-                     ? parseProcs(config.getString("procs"))
-                     : scmp::DesignSpace::paperClusterSizes();
+    auto sizes = config.getSizeList(
+        "sizes", scmp::DesignSpace::paperSccSizes());
+    auto procs = config.getIntList(
+        "procs", scmp::DesignSpace::paperClusterSizes());
 
     scmp::DesignSpace::WorkloadFactory factory;
     if (which == "barnes") {

@@ -3,7 +3,7 @@
 # performance report.
 #
 # Runs the main figure reproductions (the paper's three figures
-# plus the memory-scaling study) at --quick scale, records
+# plus the five axis studies) at --quick scale, records
 # the end-to-end wall time of each bench and, per design point, the
 # wall time and simulated-cycles-per-second (from the sweep result
 # store's `cycles` and `wallMs` fields), and writes everything to a
@@ -39,7 +39,7 @@ for arg in "$@"; do
     esac
 done
 
-BENCHES="fig2_barnes fig3_mp3d fig4_cholesky fig_mem_scaling fig_consistency fig_tm fig_sec"
+BENCHES="fig2_barnes fig3_mp3d fig4_cholesky fig_net_scaling fig_mem_scaling fig_consistency fig_tm fig_sec"
 
 # Fail fast with a real explanation instead of a cmake stack trace
 # when pointed at a missing or bench-less build directory.

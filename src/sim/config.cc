@@ -1,6 +1,8 @@
 #include "config.hh"
 
+#include <climits>
 #include <cstdlib>
+#include <sstream>
 
 #include "debug.hh"
 #include "logging.hh"
@@ -103,6 +105,40 @@ Config::getBool(const std::string &key, bool def) const
     if (v == "false" || v == "0" || v == "no" || v == "off")
         return false;
     fatal("config key '", key, "': cannot parse bool from '", v, "'");
+}
+
+std::vector<std::uint64_t>
+Config::getSizeList(const std::string &key,
+                    std::vector<std::uint64_t> def) const
+{
+    auto it = _entries.find(key);
+    if (it == _entries.end())
+        return def;
+    _read.insert(key);
+    std::vector<std::uint64_t> sizes;
+    std::stringstream stream(it->second);
+    std::string token;
+    while (std::getline(stream, token, ',')) {
+        bool ok = false;
+        sizes.push_back(parseSize(token, &ok));
+        fatal_if(!ok, "config key '", key, "': cannot parse size '",
+                 token, "' in '", it->second, "'");
+    }
+    return sizes;
+}
+
+std::vector<int>
+Config::getIntList(const std::string &key, std::vector<int> def) const
+{
+    if (!has(key))
+        return def;
+    std::vector<int> counts;
+    for (std::uint64_t v : getSizeList(key)) {
+        fatal_if(v > (std::uint64_t)INT_MAX, "config key '", key,
+                 "': ", v, " is out of range");
+        counts.push_back((int)v);
+    }
+    return counts;
 }
 
 std::vector<std::string>

@@ -48,6 +48,18 @@ class Config
     bool getBool(const std::string &key, bool def = false) const;
 
     /**
+     * Comma-separated lists of sizes ("4K,64K", see parseSize) or
+     * counts ("1,2,8"); @p def when the key is absent, and a fatal
+     * user error on any element that fails to parse (or, for
+     * counts, exceeds an int).
+     */
+    std::vector<std::uint64_t>
+    getSizeList(const std::string &key,
+                std::vector<std::uint64_t> def = {}) const;
+    std::vector<int> getIntList(const std::string &key,
+                                std::vector<int> def = {}) const;
+
+    /**
      * Parse argv-style options. Recognized forms:
      *   --key=value   --flag (boolean true)
      * Positional arguments are returned untouched.

@@ -2,6 +2,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <limits>
+#include <type_traits>
+
 #include "sim/logging.hh"
 #include "sweep/json.hh"
 #include "sweep/point_key.hh"
@@ -14,6 +18,157 @@ namespace
 
 /** Schema version; bump when the record layout changes. */
 constexpr std::uint64_t storeVersion = 1;
+
+/**
+ * Every study axis a record may carry, in the order the studies
+ * write them (so deserialize() rebuilds each study's list in its own
+ * order). Counts are written as JSON integers, the rest as strings.
+ */
+struct AxisField
+{
+    const char *name;
+    bool count;
+};
+constexpr AxisField axisFields[] = {
+    {"clusters", true},     {"net", false},
+    {"mem", false},         {"channels", true},
+    {"banks", true},        {"memSched", false},
+    {"consistency", false}, {"tm", false},
+    {"tmEntries", true},    {"isolation", false},
+    {"isolationDomains", true},
+};
+
+/**
+ * The RunResult metrics a record carries, in record order. Exactly
+ * one of count/real is set. Core metrics come first, then the
+ * "verified" flag, then the feature metrics: serialize() writes a
+ * feature's fields only when its gate holds, so records of runs
+ * without the feature stay byte-identical, and deserialize() reads
+ * absent ones back as zero.
+ */
+struct MetricField
+{
+    const char *name;
+    std::uint64_t RunResult::*count = nullptr;
+    double RunResult::*real = nullptr;
+    bool (*gate)(const RunResult &) = nullptr;
+};
+
+bool hasDram(const RunResult &r) { return r.dramFills != 0; }
+bool hasTm(const RunResult &r) { return r.tmCommits || r.tmAborts; }
+bool hasServer(const RunResult &r) { return r.requests != 0; }
+bool hasSec(const RunResult &r) { return r.secEpochs != 0; }
+
+const MetricField coreMetrics[] = {
+    {"cycles", &RunResult::cycles},
+    {"instructions", &RunResult::instructions},
+    {"references", &RunResult::references},
+    {"readMissRate", nullptr, &RunResult::readMissRate},
+    {"missRate", nullptr, &RunResult::missRate},
+    {"invalidations", &RunResult::invalidations},
+    {"busTransactions", &RunResult::busTransactions},
+    {"busUtilization", nullptr, &RunResult::busUtilization},
+};
+
+const MetricField featureMetrics[] = {
+    {"dramFills", &RunResult::dramFills, nullptr, hasDram},
+    {"dramRowHitRate", nullptr, &RunResult::dramRowHitRate, hasDram},
+    {"tmCommits", &RunResult::tmCommits, nullptr, hasTm},
+    {"tmAborts", &RunResult::tmAborts, nullptr, hasTm},
+    {"tmFallbacks", &RunResult::tmFallbacks, nullptr, hasTm},
+    {"tmAbortRate", nullptr, &RunResult::tmAbortRate, hasTm},
+    {"requests", &RunResult::requests, nullptr, hasServer},
+    {"latencyP50", nullptr, &RunResult::latencyP50, hasServer},
+    {"latencyP95", nullptr, &RunResult::latencyP95, hasServer},
+    {"latencyP99", nullptr, &RunResult::latencyP99, hasServer},
+    {"throughput", nullptr, &RunResult::throughput, hasServer},
+    {"secEpochs", &RunResult::secEpochs, nullptr, hasSec},
+    {"probeAccuracy", nullptr, &RunResult::secProbeAccuracy, hasSec},
+    {"chanceAccuracy", nullptr, &RunResult::secChanceAccuracy, hasSec},
+    {"leakBitsPerEpoch", nullptr, &RunResult::leakBitsPerEpoch,
+     hasSec},
+};
+
+/** `,"name":value` for one metric of @p r. */
+std::string
+metricJson(const MetricField &field, const RunResult &r)
+{
+    return std::string(",\"") + field.name + "\":" +
+           (field.count ? std::to_string(r.*field.count)
+                        : jsonNumber(r.*field.real));
+}
+
+/**
+ * Checked reads of one JSON object's fields. Json's as*() readers
+ * panic on a type mismatch; read() instead returns false with a
+ * one-line "field 'X' is ..." diagnostic for a missing required
+ * field, a wrongly typed value or an integer out of the slot's
+ * range, so a hand-edited or corrupt store is reported rather than
+ * aborting the process. An absent optional field keeps its slot.
+ */
+class FieldReader
+{
+  public:
+    FieldReader(const Json &object, std::string *error)
+        : _object(object), _error(error)
+    {
+    }
+
+    template <typename T>
+    bool
+    read(const char *name, T &slot, bool required = true)
+    {
+        const Json *value = _object.find(name);
+        if (!value)
+            return !required || fail(name, "is missing");
+        Json::Type type = value->type();
+        if constexpr (std::is_same_v<T, std::string>) {
+            if (type != Json::Type::String)
+                return fail(name, "is not a string");
+            slot = value->asString();
+        } else if constexpr (std::is_same_v<T, bool>) {
+            if (type != Json::Type::Bool)
+                return fail(name, "is not a boolean");
+            slot = value->asBool();
+        } else if constexpr (std::is_same_v<T, double>) {
+            // serialize() writes non-finite doubles as null.
+            if (type == Json::Type::Null)
+                slot = std::numeric_limits<double>::quiet_NaN();
+            else if (type == Json::Type::Number ||
+                     type == Json::Type::Unsigned)
+                slot = value->asDouble();
+            else
+                return fail(name, "is not a number");
+        } else {
+            if (type != Json::Type::Unsigned)
+                return fail(name, "is not an unsigned integer");
+            if (value->asU64() > (std::uint64_t)std::numeric_limits<
+                                     T>::max())
+                return fail(name, "is out of range");
+            slot = (T)value->asU64();
+        }
+        return true;
+    }
+
+    bool
+    read(const MetricField &field, RunResult &r, bool required)
+    {
+        return field.count ? read(field.name, r.*field.count, required)
+                           : read(field.name, r.*field.real, required);
+    }
+
+    bool
+    fail(const char *name, const char *what)
+    {
+        if (_error)
+            *_error = std::string("field '") + name + "' " + what;
+        return false;
+    }
+
+  private:
+    const Json &_object;
+    std::string *_error;
+};
 
 } // namespace
 
@@ -33,31 +188,7 @@ ResultStore::serialize(const StoredPoint &point)
     out += ",\"scale\":" + jsonQuote(point.scale);
     out += ",\"procs\":" + std::to_string(point.cpusPerCluster);
     out += ",\"scc\":" + std::to_string(point.sccBytes);
-    // Optional axes: omitted when unset so records from before
-    // these fields existed serialize (and hash-compare) the same.
-    if (point.clusters)
-        out += ",\"clusters\":" + std::to_string(point.clusters);
-    if (!point.net.empty())
-        out += ",\"net\":" + jsonQuote(point.net);
-    if (!point.mem.empty())
-        out += ",\"mem\":" + jsonQuote(point.mem);
-    if (point.channels)
-        out += ",\"channels\":" + std::to_string(point.channels);
-    if (point.banks)
-        out += ",\"banks\":" + std::to_string(point.banks);
-    if (!point.memSched.empty())
-        out += ",\"memSched\":" + jsonQuote(point.memSched);
-    if (!point.consistency.empty())
-        out += ",\"consistency\":" + jsonQuote(point.consistency);
-    if (!point.tm.empty())
-        out += ",\"tm\":" + jsonQuote(point.tm);
-    if (point.tmEntries)
-        out += ",\"tmEntries\":" + std::to_string(point.tmEntries);
-    if (!point.isolation.empty())
-        out += ",\"isolation\":" + jsonQuote(point.isolation);
-    if (point.isolationDomains)
-        out += ",\"isolationDomains\":" +
-               std::to_string(point.isolationDomains);
+    out += serializeAxes(point.axes);
     if (!point.model.empty())
         out += ",\"model\":" + jsonQuote(point.model);
     if (point.jobs)
@@ -65,59 +196,38 @@ ResultStore::serialize(const StoredPoint &point)
     out += ",\"wallMs\":" + jsonNumber(point.wallMs);
 
     const RunResult &r = point.result;
-    out += ",\"result\":{";
-    out += "\"cycles\":" + std::to_string(r.cycles);
-    out += ",\"instructions\":" + std::to_string(r.instructions);
-    out += ",\"references\":" + std::to_string(r.references);
-    out += ",\"readMissRate\":" + jsonNumber(r.readMissRate);
-    out += ",\"missRate\":" + jsonNumber(r.missRate);
-    out += ",\"invalidations\":" + std::to_string(r.invalidations);
-    out += ",\"busTransactions\":" +
-           std::to_string(r.busTransactions);
-    out += ",\"busUtilization\":" + jsonNumber(r.busUtilization);
-    out += std::string(",\"verified\":") +
-           (r.verified ? "true" : "false");
-    // Banked-DRAM metrics: the flat backend counts no fills, so
-    // default records serialize byte-identically to before.
-    if (r.dramFills) {
-        out += ",\"dramFills\":" + std::to_string(r.dramFills);
-        out += ",\"dramRowHitRate\":" + jsonNumber(r.dramRowHitRate);
+    std::string metrics;
+    for (const MetricField &field : coreMetrics)
+        metrics += metricJson(field, r);
+    metrics += std::string(",\"verified\":") +
+               (r.verified ? "true" : "false");
+    for (const MetricField &field : featureMetrics) {
+        if (field.gate(r))
+            metrics += metricJson(field, r);
     }
-    // TM metrics: only a run that opened a transaction counts
-    // commits or aborts, so every other record stays byte-identical.
-    if (r.tmCommits || r.tmAborts) {
-        out += ",\"tmCommits\":" + std::to_string(r.tmCommits);
-        out += ",\"tmAborts\":" + std::to_string(r.tmAborts);
-        out += ",\"tmFallbacks\":" + std::to_string(r.tmFallbacks);
-        out += ",\"tmAbortRate\":" + jsonNumber(r.tmAbortRate);
-    }
-    // Server-scenario latency metrics: only the server workload
-    // counts requests, so every other record stays byte-identical.
-    if (r.requests) {
-        out += ",\"requests\":" + std::to_string(r.requests);
-        out += ",\"latencyP50\":" + jsonNumber(r.latencyP50);
-        out += ",\"latencyP95\":" + jsonNumber(r.latencyP95);
-        out += ",\"latencyP99\":" + jsonNumber(r.latencyP99);
-        out += ",\"throughput\":" + jsonNumber(r.throughput);
-    }
-    // Side-channel metrics: only the prime+probe workload counts
-    // epochs, so every other record stays byte-identical.
-    if (r.secEpochs) {
-        out += ",\"secEpochs\":" + std::to_string(r.secEpochs);
-        out += ",\"probeAccuracy\":" +
-               jsonNumber(r.secProbeAccuracy);
-        out += ",\"chanceAccuracy\":" +
-               jsonNumber(r.secChanceAccuracy);
-        out += ",\"leakBitsPerEpoch\":" +
-               jsonNumber(r.leakBitsPerEpoch);
-    }
-    out += "}";
+    out += ",\"result\":{" + metrics.substr(1) + "}";
 
     if (!point.statsJson.empty())
         out += ",\"stats\":" + point.statsJson;
     if (!point.series.empty())
         out += ",\"series\":" + point.series;
     out += "}";
+    return out;
+}
+
+std::string
+ResultStore::serializeAxes(const AxisTags &axes)
+{
+    std::string out;
+    for (const AxisTag &axis : axes) {
+        const AxisField *field = std::find_if(
+            std::begin(axisFields), std::end(axisFields),
+            [&](const AxisField &f) { return axis.name == f.name; });
+        panic_if(field == std::end(axisFields), "unknown axis '",
+                 axis.name, "'");
+        out += ",\"" + axis.name + "\":" +
+               (field->count ? axis.value : jsonQuote(axis.value));
+    }
     return out;
 }
 
@@ -129,165 +239,65 @@ ResultStore::deserialize(const std::string &line, StoredPoint &point,
     if (!Json::parse(line, doc, error))
         return false;
 
-    auto missing = [&](const char *field) {
-        if (error)
-            *error = std::string("missing field '") + field + "'";
+    point = StoredPoint{};
+    FieldReader record(doc, error);
+    std::uint64_t version = 0;
+    if (!record.read("v", version))
         return false;
-    };
-
-    const Json *v = doc.find("v");
-    if (!v)
-        return missing("v");
-    if (v->asU64() != storeVersion) {
-        if (error) {
+    if (version != storeVersion) {
+        if (error)
             *error = "unsupported record version " +
-                     std::to_string(v->asU64());
-        }
+                     std::to_string(version);
         return false;
     }
 
-    const Json *key = doc.find("key");
-    if (!key)
-        return missing("key");
-    if (!parseKeyHex(key->asString(), point.key)) {
+    std::string keyText;
+    if (!record.read("key", keyText))
+        return false;
+    if (!parseKeyHex(keyText, point.key)) {
         if (error)
-            *error = "malformed key '" + key->asString() + "'";
+            *error = "malformed key '" + keyText + "'";
         return false;
     }
 
-    const Json *workload = doc.find("workload");
-    const Json *scale = doc.find("scale");
-    const Json *procs = doc.find("procs");
-    const Json *scc = doc.find("scc");
-    const Json *wallMs = doc.find("wallMs");
+    if (!record.read("workload", point.workload) ||
+        !record.read("scale", point.scale) ||
+        !record.read("procs", point.cpusPerCluster) ||
+        !record.read("scc", point.sccBytes) ||
+        !record.read("model", point.model, false) ||
+        !record.read("jobs", point.jobs, false) ||
+        !record.read("wallMs", point.wallMs))
+        return false;
+    for (const AxisField &field : axisFields) {
+        if (!doc.find(field.name))
+            continue;
+        AxisTag axis{field.name, ""};
+        if (field.count) {
+            int value = 0;
+            if (!record.read(field.name, value))
+                return false;
+            axis.value = std::to_string(value);
+        } else if (!record.read(field.name, axis.value)) {
+            return false;
+        }
+        point.axes.push_back(std::move(axis));
+    }
+
     const Json *result = doc.find("result");
-    if (!workload)
-        return missing("workload");
-    if (!scale)
-        return missing("scale");
-    if (!procs)
-        return missing("procs");
-    if (!scc)
-        return missing("scc");
-    if (!wallMs)
-        return missing("wallMs");
     if (!result)
-        return missing("result");
-
-    point.workload = workload->asString();
-    point.scale = scale->asString();
-    point.cpusPerCluster = (int)procs->asU64();
-    point.sccBytes = scc->asU64();
-    const Json *clusters = doc.find("clusters");
-    point.clusters = clusters ? (int)clusters->asU64() : 0;
-    const Json *net = doc.find("net");
-    point.net = net ? net->asString() : "";
-    const Json *mem = doc.find("mem");
-    point.mem = mem ? mem->asString() : "";
-    const Json *channels = doc.find("channels");
-    point.channels = channels ? (int)channels->asU64() : 0;
-    const Json *banks = doc.find("banks");
-    point.banks = banks ? (int)banks->asU64() : 0;
-    const Json *memSched = doc.find("memSched");
-    point.memSched = memSched ? memSched->asString() : "";
-
-    const Json *consistency = doc.find("consistency");
-    point.consistency = consistency ? consistency->asString() : "";
-    const Json *tm = doc.find("tm");
-    point.tm = tm ? tm->asString() : "";
-    const Json *tmEntries = doc.find("tmEntries");
-    point.tmEntries = tmEntries ? (int)tmEntries->asU64() : 0;
-    const Json *isolation = doc.find("isolation");
-    point.isolation = isolation ? isolation->asString() : "";
-    const Json *isolationDomains = doc.find("isolationDomains");
-    point.isolationDomains =
-        isolationDomains ? (int)isolationDomains->asU64() : 0;
-    const Json *model = doc.find("model");
-    point.model = model ? model->asString() : "";
-    const Json *jobs = doc.find("jobs");
-    point.jobs = jobs ? (int)jobs->asU64() : 0;
-    point.wallMs = wallMs->asDouble();
-
-    RunResult &r = point.result;
-    struct FieldU64
-    {
-        const char *name;
-        std::uint64_t *slot;
-    } u64Fields[] = {
-        {"cycles", &r.cycles},
-        {"instructions", &r.instructions},
-        {"references", &r.references},
-        {"invalidations", &r.invalidations},
-        {"busTransactions", &r.busTransactions},
-    };
-    for (const auto &field : u64Fields) {
-        const Json *value = result->find(field.name);
-        if (!value)
-            return missing(field.name);
-        *field.slot = value->asU64();
+        return record.fail("result", "is missing");
+    if (result->type() != Json::Type::Object)
+        return record.fail("result", "is not an object");
+    FieldReader fields(*result, error);
+    for (const MetricField &field : coreMetrics) {
+        if (!fields.read(field, point.result, true))
+            return false;
     }
-    struct FieldDouble
-    {
-        const char *name;
-        double *slot;
-    } doubleFields[] = {
-        {"readMissRate", &r.readMissRate},
-        {"missRate", &r.missRate},
-        {"busUtilization", &r.busUtilization},
-    };
-    for (const auto &field : doubleFields) {
-        const Json *value = result->find(field.name);
-        if (!value)
-            return missing(field.name);
-        *field.slot = value->asDouble();
-    }
-    const Json *verified = result->find("verified");
-    if (!verified)
-        return missing("verified");
-    r.verified = verified->asBool();
-    // Optional dram fields (absent on flat-backend records).
-    const Json *dramFills = result->find("dramFills");
-    r.dramFills = dramFills ? dramFills->asU64() : 0;
-    const Json *dramRowHitRate = result->find("dramRowHitRate");
-    r.dramRowHitRate =
-        dramRowHitRate ? dramRowHitRate->asDouble() : 0.0;
-    // Optional TM fields (absent on non-transactional records).
-    const Json *tmCommits = result->find("tmCommits");
-    r.tmCommits = tmCommits ? tmCommits->asU64() : 0;
-    const Json *tmAborts = result->find("tmAborts");
-    r.tmAborts = tmAborts ? tmAborts->asU64() : 0;
-    const Json *tmFallbacks = result->find("tmFallbacks");
-    r.tmFallbacks = tmFallbacks ? tmFallbacks->asU64() : 0;
-    const Json *tmAbortRate = result->find("tmAbortRate");
-    r.tmAbortRate = tmAbortRate ? tmAbortRate->asDouble() : 0.0;
-    // Optional server-scenario fields.
-    const Json *requests = result->find("requests");
-    r.requests = requests ? requests->asU64() : 0;
-    struct OptDouble
-    {
-        const char *name;
-        double *slot;
-    } serverFields[] = {
-        {"latencyP50", &r.latencyP50},
-        {"latencyP95", &r.latencyP95},
-        {"latencyP99", &r.latencyP99},
-        {"throughput", &r.throughput},
-    };
-    for (const auto &field : serverFields) {
-        const Json *value = result->find(field.name);
-        *field.slot = value ? value->asDouble() : 0.0;
-    }
-    // Optional side-channel fields.
-    const Json *secEpochs = result->find("secEpochs");
-    r.secEpochs = secEpochs ? secEpochs->asU64() : 0;
-    OptDouble secFields[] = {
-        {"probeAccuracy", &r.secProbeAccuracy},
-        {"chanceAccuracy", &r.secChanceAccuracy},
-        {"leakBitsPerEpoch", &r.leakBitsPerEpoch},
-    };
-    for (const auto &field : secFields) {
-        const Json *value = result->find(field.name);
-        *field.slot = value ? value->asDouble() : 0.0;
+    if (!fields.read("verified", point.result.verified))
+        return false;
+    for (const MetricField &field : featureMetrics) {
+        if (!fields.read(field, point.result, false))
+            return false;
     }
 
     const Json *stats = doc.find("stats");

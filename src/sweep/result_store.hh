@@ -25,11 +25,29 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "core/parallel_run.hh"
 
 namespace scmp::sweep
 {
+
+/**
+ * One named axis value that sets a study's point apart from its
+ * neighbours ("net" = "split", "tmEntries" = "64"). The name must be
+ * one of the record keys in result_store.cc's axis table, which also
+ * says whether the value is written as a JSON count or string.
+ */
+struct AxisTag
+{
+    std::string name;
+    std::string value;
+
+    bool operator==(const AxisTag &) const = default;
+};
+
+/** A point's axis tags, in store (and progress-line) order. */
+using AxisTags = std::vector<AxisTag>;
 
 /** One persisted design-point record. */
 struct StoredPoint
@@ -40,25 +58,11 @@ struct StoredPoint
     int cpusPerCluster = 0;
     std::uint64_t sccBytes = 0;
     /**
-     * Optional axes (serialized only when set, so stores written
-     * before they existed still parse): cluster count for scaling
-     * studies, interconnect topology name for src/net sweeps,
-     * memory backend + geometry for src/dram sweeps.
+     * Study axes, serialized after "scc" in this order (absent from
+     * grid records, so stores written before any study existed
+     * still parse and serialize the same).
      */
-    int clusters = 0;
-    std::string net;
-    std::string mem;
-    int channels = 0;
-    int banks = 0;
-    std::string memSched;
-    /** Consistency model name for src/mem/store_buffer sweeps. */
-    std::string consistency;
-    /** TM conflict manager name for src/tm sweeps. */
-    std::string tm;
-    int tmEntries = 0;
-    /** Isolation mode name + domain count for src/sec sweeps. */
-    std::string isolation;
-    int isolationDomains = 0;
+    AxisTags axes;
     /**
      * Evaluation model that produced the record ("analytic" for
      * screened points; empty = cycle-accurate, the historical
@@ -114,8 +118,17 @@ class ResultStore
     static std::string serialize(const StoredPoint &point);
 
     /**
+     * The axis fragment serialize() writes after "scc", e.g.
+     * `,"net":"split"`; empty for a grid point. Panics on an axis
+     * name the store does not know.
+     */
+    static std::string serializeAxes(const AxisTags &axes);
+
+    /**
      * Parse one record line.
-     * @return false (with @p error filled) on malformed input.
+     * @return false (with @p error filled) on malformed input: bad
+     *         JSON, or a field that is missing, of the wrong type or
+     *         out of range. Never aborts.
      */
     static bool deserialize(const std::string &line,
                             StoredPoint &point, std::string *error);

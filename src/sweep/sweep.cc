@@ -34,11 +34,14 @@ msSince(Clock::time_point start)
 
 /**
  * Suffix an observability output path with a point's key (before
- * the extension) so concurrent workers write distinct files.
+ * the extension) so concurrent workers write distinct files. An
+ * empty path (that output is off) stays empty.
  */
 std::string
 pointedPath(const std::string &path, std::uint64_t key)
 {
+    if (path.empty())
+        return path;
     std::string tag = "-" + keyHex(key);
     std::size_t dot = path.find_last_of('.');
     std::size_t slash = path.find_last_of('/');
@@ -61,6 +64,41 @@ analyticKey(std::uint64_t key)
     hasher.mix(key);
     hasher.mix("analytic");
     return hasher.value();
+}
+
+/** " net=split tm=eager": a point's axes for log lines. */
+std::string
+axesText(const AxisTags &axes)
+{
+    std::string text;
+    for (const AxisTag &axis : axes)
+        text += " " + axis.name + "=" + axis.value;
+    return text;
+}
+
+/**
+ * Does a stored record describe @p point? The key already hashes
+ * every non-default axis, so this only catches key collisions and
+ * corrupt stores: workload, procs and scc must match, and so must
+ * every axis both carry. An axis absent from the record is
+ * accepted — baselines such as --tm=off store none for their inert
+ * knobs.
+ */
+bool
+describes(const StoredPoint &stored, const std::string &workload,
+          const SweepPoint &point)
+{
+    if (stored.workload != workload ||
+        stored.cpusPerCluster != point.config.cpusPerCluster ||
+        stored.sccBytes != point.config.scc.sizeBytes)
+        return false;
+    for (const AxisTag &have : stored.axes) {
+        for (const AxisTag &want : point.axes) {
+            if (have.name == want.name && have.value != want.value)
+                return false;
+        }
+    }
+    return true;
 }
 
 } // namespace
@@ -101,6 +139,153 @@ defaultSweepOptions()
     return globalDefaults;
 }
 
+namespace
+{
+
+/** Append a copy of the list's base with @p axes; return it. */
+MachineConfig &
+addPoint(PointList &list, AxisTags axes = {})
+{
+    SweepPoint &point = list.points.emplace_back();
+    point.config = list.base;
+    point.axes = std::move(axes);
+    return point.config;
+}
+
+} // namespace
+
+PointList
+gridPoints(const MachineConfig &base,
+           const std::vector<std::uint64_t> &sccSizes,
+           const std::vector<int> &clusterSizes)
+{
+    PointList list{base, {}};
+    for (int procs : clusterSizes) {
+        for (std::uint64_t size : sccSizes) {
+            MachineConfig &config = addPoint(list);
+            config.cpusPerCluster = procs;
+            config.scc.sizeBytes = size;
+        }
+    }
+    return list;
+}
+
+PointList
+netPoints(const MachineConfig &base,
+          const std::vector<int> &clusterCounts,
+          const std::vector<NetTopology> &topologies)
+{
+    PointList list{base, {}};
+    for (NetTopology topology : topologies) {
+        for (int clusters : clusterCounts) {
+            MachineConfig &config = addPoint(
+                list, {{"clusters", std::to_string(clusters)},
+                       {"net", netTopologyName(topology)}});
+            config.numClusters = clusters;
+            config.net.topology = topology;
+        }
+    }
+    return list;
+}
+
+PointList
+memPoints(const MachineConfig &base,
+          const std::vector<int> &channelCounts,
+          const std::vector<int> &bankCounts,
+          const std::vector<MemSched> &scheds)
+{
+    PointList list{base, {}};
+    for (MemSched sched : scheds) {
+        for (int channels : channelCounts) {
+            for (int banks : bankCounts) {
+                AxisTags axes{
+                    {"mem", memBackendName(MemBackendKind::Banked)},
+                    {"channels", std::to_string(channels)},
+                    {"banks", std::to_string(banks)},
+                    {"memSched", memSchedName(sched)}};
+                DramParams &dram = addPoint(list, axes).dram;
+                dram.kind = MemBackendKind::Banked;
+                dram.channels = channels;
+                dram.banks = banks;
+                dram.sched = sched;
+            }
+        }
+    }
+    return list;
+}
+
+PointList
+consistencyPoints(const MachineConfig &base,
+                  const std::vector<ConsistencyModel> &models,
+                  const std::vector<NetTopology> &topologies,
+                  const std::vector<NetArbitration> &arbitrations)
+{
+    PointList list{base, {}};
+    for (ConsistencyModel model : models) {
+        for (NetTopology topology : topologies) {
+            for (std::size_t a = 0; a < arbitrations.size(); ++a) {
+                if (topology != NetTopology::Split && a > 0)
+                    break;
+                MachineConfig &config = addPoint(
+                    list, {{"net", netTopologyName(topology)},
+                           {"consistency", consistencyName(model)}});
+                config.consistency.model = model;
+                config.net.topology = topology;
+                config.net.arbitration = arbitrations[a];
+            }
+        }
+    }
+    return list;
+}
+
+PointList
+tmPoints(const MachineConfig &base, const std::vector<TmMode> &modes,
+         const std::vector<NetTopology> &topologies,
+         const std::vector<int> &setSizes)
+{
+    PointList list{base, {}};
+    for (TmMode mode : modes) {
+        for (NetTopology topology : topologies) {
+            for (std::size_t s = 0; s < setSizes.size(); ++s) {
+                if (mode == TmMode::Off && s > 0)
+                    break;
+                AxisTags axes{{"net", netTopologyName(topology)},
+                              {"tm", tmModeName(mode)}};
+                if (mode != TmMode::Off)
+                    axes.push_back(
+                        {"tmEntries", std::to_string(setSizes[s])});
+                MachineConfig &config = addPoint(list, axes);
+                config.tm.mode = mode;
+                config.tm.setEntries = setSizes[s];
+                config.net.topology = topology;
+            }
+        }
+    }
+    return list;
+}
+
+PointList
+isolationPoints(const MachineConfig &base,
+                const std::vector<IsolationMode> &modes,
+                const std::vector<int> &domainCounts)
+{
+    PointList list{base, {}};
+    for (IsolationMode mode : modes) {
+        for (std::size_t d = 0; d < domainCounts.size(); ++d) {
+            if (mode == IsolationMode::None && d > 0)
+                break;
+            AxisTags axes{{"isolation", isolationModeName(mode)}};
+            if (mode != IsolationMode::None)
+                axes.push_back({"isolationDomains",
+                                std::to_string(domainCounts[d])});
+            SecParams &sec = addPoint(list, axes).scc.sec;
+            sec.mode = mode;
+            sec.domains = domainCounts[d];
+        }
+    }
+    return list;
+}
+
 SweepExecutor::SweepExecutor(SweepOptions options)
     : _options(std::move(options))
 {
@@ -108,9 +293,23 @@ SweepExecutor::SweepExecutor(SweepOptions options)
 
 DesignGrid
 SweepExecutor::run(const DesignSpace::WorkloadFactory &factory,
-                   MachineConfig base,
+                   const MachineConfig &base,
                    const std::vector<std::uint64_t> &sccSizes,
                    const std::vector<int> &clusterSizes)
+{
+    DesignGrid grid;
+    for (SweepPoint &point :
+         run(factory, gridPoints(base, sccSizes, clusterSizes))) {
+        grid.add({point.config.cpusPerCluster,
+                  point.config.scc.sizeBytes,
+                  std::move(point.result)});
+    }
+    return grid;
+}
+
+std::vector<SweepPoint>
+SweepExecutor::run(const DesignSpace::WorkloadFactory &factory,
+                   const PointList &list)
 {
     auto sweepStart = Clock::now();
 
@@ -118,37 +317,42 @@ SweepExecutor::run(const DesignSpace::WorkloadFactory &factory,
     // (workloads allocate in setup(), not their constructors).
     const std::string workloadName = factory()->name();
 
+    // The analytic model knows only the processors x SCC grid; a
+    // list that varies any other axis would be mispredicted, so it
+    // is refused before anything runs or the store is touched.
+    if (_options.model != SweepModel::Cycle) {
+        std::uint64_t baseHash = hashMachineConfig(list.base);
+        for (const SweepPoint &point : list.points) {
+            MachineConfig gridConfig = point.config;
+            gridConfig.cpusPerCluster = list.base.cpusPerCluster;
+            gridConfig.scc.sizeBytes = list.base.scc.sizeBytes;
+            fatal_if(hashMachineConfig(gridConfig) != baseHash,
+                     "--model=", sweepModelName(_options.model),
+                     " screens only the processors x SCC grid, but ",
+                     workloadName, " point",
+                     axesText(point.axes),
+                     " varies the machine outside it");
+        }
+    }
+
+    std::vector<SweepPoint> results = list.points;
     struct Task
     {
         MachineConfig config;
-        int procs;
-        std::uint64_t sccBytes;
         std::uint64_t key;
     };
     std::vector<Task> tasks;
-    tasks.reserve(clusterSizes.size() * sccSizes.size());
-    for (int procs : clusterSizes) {
-        for (std::uint64_t size : sccSizes) {
-            Task task;
-            task.config = base;
-            task.config.cpusPerCluster = procs;
-            task.config.scc.sizeBytes = size;
-            task.procs = procs;
-            task.sccBytes = size;
-            task.key = pointKey(task.config, workloadName,
-                                _options.scale);
-            if (_options.obs.enabled) {
-                obs::RecorderConfig obsConfig = _options.obs;
-                if (!obsConfig.tracePath.empty())
-                    obsConfig.tracePath = pointedPath(
-                        obsConfig.tracePath, task.key);
-                if (!obsConfig.seriesPath.empty())
-                    obsConfig.seriesPath = pointedPath(
-                        obsConfig.seriesPath, task.key);
-                task.config.obs = obsConfig;
-            }
-            tasks.push_back(std::move(task));
+    tasks.reserve(results.size());
+    for (const SweepPoint &point : results) {
+        Task task{point.config,
+                  pointKey(point.config, workloadName, _options.scale)};
+        if (_options.obs.enabled) {
+            obs::RecorderConfig &obs = task.config.obs;
+            obs = _options.obs;
+            obs.tracePath = pointedPath(obs.tracePath, task.key);
+            obs.seriesPath = pointedPath(obs.seriesPath, task.key);
         }
+        tasks.push_back(std::move(task));
     }
 
     _stats = SweepRunStats{};
@@ -159,7 +363,7 @@ SweepExecutor::run(const DesignSpace::WorkloadFactory &factory,
         store.open(_options.resultsPath, _options.resume);
 
     // Analytic screen (analytic/hybrid): one functional profiling
-    // pass at the grid's widest cluster — the scope layout every
+    // pass at the list's widest cluster — the scope layout every
     // grouping on the axis can be derived from — then a
     // microseconds-per-point evaluation of the whole grid.
     std::vector<RunResult> predicted;
@@ -167,9 +371,13 @@ SweepExecutor::run(const DesignSpace::WorkloadFactory &factory,
         tasks.size(), _options.model != SweepModel::Analytic);
     if (_options.model != SweepModel::Cycle && !tasks.empty()) {
         auto profileStart = Clock::now();
-        MachineConfig profConfig = base;
-        profConfig.cpusPerCluster = *std::max_element(
-            clusterSizes.begin(), clusterSizes.end());
+        MachineConfig profConfig = list.base;
+        profConfig.cpusPerCluster = std::max_element(
+            results.begin(), results.end(),
+            [](const SweepPoint &a, const SweepPoint &b) {
+                return a.config.cpusPerCluster <
+                       b.config.cpusPerCluster;
+            })->config.cpusPerCluster;
         auto workload = factory();
         workload->reseed(pointKey(profConfig, workloadName,
                                   _options.scale));
@@ -217,49 +425,49 @@ SweepExecutor::run(const DesignSpace::WorkloadFactory &factory,
         }
     }
 
-    // Partition the grid into screened points (served from the
+    // Identity fields shared by every record this run writes.
+    auto recordFor = [&](std::size_t i) {
+        StoredPoint record;
+        record.key = tasks[i].key;
+        record.workload = workloadName;
+        record.scale = _options.scale;
+        record.cpusPerCluster = results[i].config.cpusPerCluster;
+        record.sccBytes = results[i].config.scc.sizeBytes;
+        record.axes = results[i].axes;
+        return record;
+    };
+
+    // Partition the list into screened points (served from the
     // analytic predictions), stored points (served immediately)
     // and pending points (dealt to the workers).
-    std::vector<DesignPoint> results(tasks.size());
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < tasks.size(); ++i) {
-        const Task &task = tasks[i];
         if (!runCycle[i]) {
-            results[i].cpusPerCluster = task.procs;
-            results[i].sccBytes = task.sccBytes;
             results[i].result = predicted[i];
-            if (store.isOpen()) {
-                std::uint64_t screenKey = analyticKey(task.key);
-                if (!(_options.resume && store.find(screenKey))) {
-                    StoredPoint record;
-                    record.key = screenKey;
-                    record.workload = workloadName;
-                    record.scale = _options.scale;
-                    record.cpusPerCluster = task.procs;
-                    record.sccBytes = task.sccBytes;
-                    record.model = "analytic";
-                    record.jobs = 1;  // the screen is serial
-                    record.result = predicted[i];
-                    record.wallMs =
-                        _stats.analyticMs / (double)tasks.size();
-                    store.append(record);
-                }
+            std::uint64_t screenKey = analyticKey(tasks[i].key);
+            if (store.isOpen() &&
+                !(_options.resume && store.find(screenKey))) {
+                StoredPoint record = recordFor(i);
+                record.key = screenKey;
+                record.model = "analytic";
+                record.jobs = 1;  // the screen is serial
+                record.result = predicted[i];
+                record.wallMs =
+                    _stats.analyticMs / (double)tasks.size();
+                store.append(record);
             }
             continue;
         }
         const StoredPoint *stored =
-            _options.resume && store.isOpen() ? store.find(task.key)
-                                              : nullptr;
+            _options.resume && store.isOpen()
+                ? store.find(tasks[i].key)
+                : nullptr;
         if (stored) {
-            fatal_if(stored->cpusPerCluster != task.procs ||
-                         stored->sccBytes != task.sccBytes ||
-                         stored->workload != workloadName,
+            fatal_if(!describes(*stored, workloadName, results[i]),
                      "results file '", _options.resultsPath,
-                     "' record ", keyHex(task.key),
+                     "' record ", keyHex(tasks[i].key),
                      " does not match its key's configuration ",
                      "(key collision or corrupt store)");
-            results[i].cpusPerCluster = task.procs;
-            results[i].sccBytes = task.sccBytes;
             results[i].result = stored->result;
             ++_stats.reused;
         } else {
@@ -278,15 +486,10 @@ SweepExecutor::run(const DesignSpace::WorkloadFactory &factory,
 
     // Resolve the worker count up front so each stored record can
     // carry the job count that actually produced it.
-    int jobs = _options.jobs;
-    if (jobs <= 0)
-        jobs = (int)std::thread::hardware_concurrency();
-    if (jobs < 1)
-        jobs = 1;
-    if ((std::size_t)jobs > pending.size())
-        jobs = (int)pending.size();
-    if (jobs < 1)
-        jobs = 1;
+    int jobs = _options.jobs > 0
+                   ? _options.jobs
+                   : (int)std::thread::hardware_concurrency();
+    jobs = std::max(1, std::min(jobs, (int)pending.size()));
     _stats.jobs = jobs;
 
     auto runOne = [&](std::size_t i) {
@@ -305,17 +508,10 @@ SweepExecutor::run(const DesignSpace::WorkloadFactory &factory,
             _options.attachStats ? &statsJson : nullptr);
         double wallMs = msSince(pointStart);
 
-        results[i].cpusPerCluster = task.procs;
-        results[i].sccBytes = task.sccBytes;
         results[i].result = result;
 
         if (store.isOpen()) {
-            StoredPoint record;
-            record.key = task.key;
-            record.workload = workloadName;
-            record.scale = _options.scale;
-            record.cpusPerCluster = task.procs;
-            record.sccBytes = task.sccBytes;
+            StoredPoint record = recordFor(i);
             record.jobs = jobs;
             record.result = result;
             record.wallMs = wallMs;
@@ -333,8 +529,9 @@ SweepExecutor::run(const DesignSpace::WorkloadFactory &factory,
                                     (double)(toCompute - doneCount)
                               : 0.0;
             inform("sweep ", doneCount, "/", toCompute, ": ",
-                   workloadName, " ", task.procs, "P/cluster ",
-                   sizeString(task.sccBytes), " -> ",
+                   workloadName, " ", task.config.cpusPerCluster,
+                   "P/cluster ", sizeString(task.config.scc.sizeBytes),
+                   axesText(results[i].axes), " -> ",
                    result.cycles, " cycles, rdMiss=",
                    result.readMissRate, " (", wallMs, " ms, ETA ",
                    etaS, " s)");
@@ -412,10 +609,7 @@ SweepExecutor::run(const DesignSpace::WorkloadFactory &factory,
                _stats.wallMs / 1000.0, " s");
     }
 
-    DesignGrid grid;
-    for (auto &point : results)
-        grid.add(std::move(point));
-    return grid;
+    return results;
 }
 
 } // namespace scmp::sweep
@@ -436,552 +630,6 @@ DesignSpace::sweep(const WorkloadFactory &factory,
     options.verbose = options.verbose || verbose;
     sweep::SweepExecutor executor(options);
     return executor.run(factory, base, sccSizes, clusterSizes);
-}
-
-std::vector<NetPoint>
-DesignSpace::netScalingSweep(
-    const WorkloadFactory &factory, MachineConfig base,
-    const std::vector<int> &clusterCounts,
-    const std::vector<NetTopology> &topologies, bool verbose)
-{
-    sweep::SweepOptions options = sweep::defaultSweepOptions();
-    options.verbose = options.verbose || verbose;
-
-    const std::string workloadName = factory()->name();
-
-    sweep::ResultStore store;
-    if (!options.resultsPath.empty())
-        store.open(options.resultsPath, options.resume);
-
-    std::vector<NetPoint> points;
-    points.reserve(clusterCounts.size() * topologies.size());
-    for (NetTopology topology : topologies) {
-        for (int clusters : clusterCounts) {
-            MachineConfig config = base;
-            config.numClusters = clusters;
-            config.net.topology = topology;
-            std::uint64_t key = sweep::pointKey(
-                config, workloadName, options.scale);
-
-            NetPoint point;
-            point.clusters = clusters;
-            point.topology = topology;
-
-            const sweep::StoredPoint *stored =
-                options.resume && store.isOpen()
-                    ? store.find(key)
-                    : nullptr;
-            if (stored) {
-                fatal_if(
-                    stored->workload != workloadName ||
-                        stored->clusters != clusters ||
-                        stored->net != netTopologyName(topology),
-                    "results file '", options.resultsPath,
-                    "' record ", sweep::keyHex(key),
-                    " does not match its key's configuration ",
-                    "(key collision or corrupt store)");
-                point.result = stored->result;
-                points.push_back(std::move(point));
-                continue;
-            }
-
-            if (options.obs.enabled) {
-                obs::RecorderConfig obsConfig = options.obs;
-                if (!obsConfig.tracePath.empty())
-                    obsConfig.tracePath = sweep::pointedPath(
-                        obsConfig.tracePath, key);
-                if (!obsConfig.seriesPath.empty())
-                    obsConfig.seriesPath = sweep::pointedPath(
-                        obsConfig.seriesPath, key);
-                config.obs = obsConfig;
-            }
-
-            auto workload = factory();
-            workload->reseed(key);
-            std::ostringstream statsJson;
-            auto pointStart = sweep::Clock::now();
-            point.result = runParallel(
-                config, *workload, nullptr, nullptr,
-                options.attachStats ? &statsJson : nullptr);
-            double wallMs = sweep::msSince(pointStart);
-
-            if (store.isOpen()) {
-                sweep::StoredPoint record;
-                record.key = key;
-                record.workload = workloadName;
-                record.scale = options.scale;
-                record.cpusPerCluster = config.cpusPerCluster;
-                record.sccBytes = config.scc.sizeBytes;
-                record.clusters = clusters;
-                record.net = netTopologyName(topology);
-                record.result = point.result;
-                record.wallMs = wallMs;
-                record.statsJson = statsJson.str();
-                record.series = point.result.obsSeries;
-                store.append(record);
-            }
-            if (options.verbose) {
-                inform("net sweep: ", workloadName, " ",
-                       netTopologyName(topology), " x", clusters,
-                       " clusters -> ", point.result.cycles,
-                       " cycles, busUtil=",
-                       point.result.busUtilization, " (", wallMs,
-                       " ms)");
-            }
-            points.push_back(std::move(point));
-        }
-    }
-    return points;
-}
-
-std::vector<MemPoint>
-DesignSpace::memScalingSweep(
-    const WorkloadFactory &factory, MachineConfig base,
-    const std::vector<int> &channelCounts,
-    const std::vector<int> &bankCounts,
-    const std::vector<MemSched> &scheds, bool verbose)
-{
-    sweep::SweepOptions options = sweep::defaultSweepOptions();
-    options.verbose = options.verbose || verbose;
-
-    const std::string workloadName = factory()->name();
-
-    sweep::ResultStore store;
-    if (!options.resultsPath.empty())
-        store.open(options.resultsPath, options.resume);
-
-    std::vector<MemPoint> points;
-    points.reserve(channelCounts.size() * bankCounts.size() *
-                   scheds.size());
-    for (MemSched sched : scheds) {
-        for (int channels : channelCounts) {
-            for (int banks : bankCounts) {
-                MachineConfig config = base;
-                config.dram.kind = MemBackendKind::Banked;
-                config.dram.channels = channels;
-                config.dram.banks = banks;
-                config.dram.sched = sched;
-                std::uint64_t key = sweep::pointKey(
-                    config, workloadName, options.scale);
-
-                MemPoint point;
-                point.channels = channels;
-                point.banks = banks;
-                point.sched = sched;
-
-                const sweep::StoredPoint *stored =
-                    options.resume && store.isOpen()
-                        ? store.find(key)
-                        : nullptr;
-                if (stored) {
-                    fatal_if(
-                        stored->workload != workloadName ||
-                            stored->mem !=
-                                memBackendName(config.dram.kind) ||
-                            stored->channels != channels ||
-                            stored->banks != banks ||
-                            stored->memSched != memSchedName(sched),
-                        "results file '", options.resultsPath,
-                        "' record ", sweep::keyHex(key),
-                        " does not match its key's configuration ",
-                        "(key collision or corrupt store)");
-                    point.result = stored->result;
-                    points.push_back(std::move(point));
-                    continue;
-                }
-
-                if (options.obs.enabled) {
-                    obs::RecorderConfig obsConfig = options.obs;
-                    if (!obsConfig.tracePath.empty())
-                        obsConfig.tracePath = sweep::pointedPath(
-                            obsConfig.tracePath, key);
-                    if (!obsConfig.seriesPath.empty())
-                        obsConfig.seriesPath = sweep::pointedPath(
-                            obsConfig.seriesPath, key);
-                    config.obs = obsConfig;
-                }
-
-                auto workload = factory();
-                workload->reseed(key);
-                std::ostringstream statsJson;
-                auto pointStart = sweep::Clock::now();
-                point.result = runParallel(
-                    config, *workload, nullptr, nullptr,
-                    options.attachStats ? &statsJson : nullptr);
-                double wallMs = sweep::msSince(pointStart);
-
-                if (store.isOpen()) {
-                    sweep::StoredPoint record;
-                    record.key = key;
-                    record.workload = workloadName;
-                    record.scale = options.scale;
-                    record.cpusPerCluster = config.cpusPerCluster;
-                    record.sccBytes = config.scc.sizeBytes;
-                    record.mem = memBackendName(config.dram.kind);
-                    record.channels = channels;
-                    record.banks = banks;
-                    record.memSched = memSchedName(sched);
-                    record.result = point.result;
-                    record.wallMs = wallMs;
-                    record.statsJson = statsJson.str();
-                    record.series = point.result.obsSeries;
-                    store.append(record);
-                }
-                if (options.verbose) {
-                    inform("mem sweep: ", workloadName, " ",
-                           memSchedName(sched), " ", channels,
-                           "ch x ", banks, " banks -> ",
-                           point.result.cycles,
-                           " cycles, rowHitRate=",
-                           point.result.dramRowHitRate, " (",
-                           wallMs, " ms)");
-                }
-                points.push_back(std::move(point));
-            }
-        }
-    }
-    return points;
-}
-
-std::vector<ConsistencyPoint>
-DesignSpace::consistencySweep(
-    const WorkloadFactory &factory, MachineConfig base,
-    const std::vector<ConsistencyModel> &models,
-    const std::vector<NetTopology> &topologies,
-    const std::vector<NetArbitration> &arbitrations, bool verbose)
-{
-    sweep::SweepOptions options = sweep::defaultSweepOptions();
-    options.verbose = options.verbose || verbose;
-
-    const std::string workloadName = factory()->name();
-
-    sweep::ResultStore store;
-    if (!options.resultsPath.empty())
-        store.open(options.resultsPath, options.resume);
-
-    std::vector<ConsistencyPoint> points;
-    points.reserve(models.size() * topologies.size() *
-                   arbitrations.size());
-    for (ConsistencyModel model : models) {
-        for (NetTopology topology : topologies) {
-            for (std::size_t a = 0; a < arbitrations.size(); ++a) {
-                // Arbitration is a split-bus knob; other fabrics
-                // would evaluate the same design point once per
-                // discipline, so take only the first for them.
-                if (topology != NetTopology::Split && a > 0)
-                    break;
-                NetArbitration arbitration = arbitrations[a];
-
-                MachineConfig config = base;
-                config.consistency.model = model;
-                config.net.topology = topology;
-                config.net.arbitration = arbitration;
-                std::uint64_t key = sweep::pointKey(
-                    config, workloadName, options.scale);
-
-                ConsistencyPoint point;
-                point.model = model;
-                point.topology = topology;
-                point.arbitration = arbitration;
-
-                const sweep::StoredPoint *stored =
-                    options.resume && store.isOpen()
-                        ? store.find(key)
-                        : nullptr;
-                if (stored) {
-                    fatal_if(
-                        stored->workload != workloadName ||
-                            stored->net !=
-                                netTopologyName(topology) ||
-                            (model != ConsistencyModel::Sc &&
-                             stored->consistency !=
-                                 consistencyName(model)),
-                        "results file '", options.resultsPath,
-                        "' record ", sweep::keyHex(key),
-                        " does not match its key's configuration ",
-                        "(key collision or corrupt store)");
-                    point.result = stored->result;
-                    points.push_back(std::move(point));
-                    continue;
-                }
-
-                if (options.obs.enabled) {
-                    obs::RecorderConfig obsConfig = options.obs;
-                    if (!obsConfig.tracePath.empty())
-                        obsConfig.tracePath = sweep::pointedPath(
-                            obsConfig.tracePath, key);
-                    if (!obsConfig.seriesPath.empty())
-                        obsConfig.seriesPath = sweep::pointedPath(
-                            obsConfig.seriesPath, key);
-                    config.obs = obsConfig;
-                }
-
-                auto workload = factory();
-                workload->reseed(key);
-                std::ostringstream statsJson;
-                auto pointStart = sweep::Clock::now();
-                point.result = runParallel(
-                    config, *workload, nullptr, nullptr,
-                    options.attachStats ? &statsJson : nullptr);
-                double wallMs = sweep::msSince(pointStart);
-
-                if (store.isOpen()) {
-                    sweep::StoredPoint record;
-                    record.key = key;
-                    record.workload = workloadName;
-                    record.scale = options.scale;
-                    record.cpusPerCluster = config.cpusPerCluster;
-                    record.sccBytes = config.scc.sizeBytes;
-                    record.net = netTopologyName(topology);
-                    record.consistency = consistencyName(model);
-                    record.result = point.result;
-                    record.wallMs = wallMs;
-                    record.statsJson = statsJson.str();
-                    record.series = point.result.obsSeries;
-                    store.append(record);
-                }
-                if (options.verbose) {
-                    inform("consistency sweep: ", workloadName,
-                           " ", consistencyName(model), " ",
-                           netTopologyName(topology), "/",
-                           netArbitrationName(arbitration), " -> ",
-                           point.result.cycles, " cycles (",
-                           wallMs, " ms)");
-                }
-                points.push_back(std::move(point));
-            }
-        }
-    }
-    return points;
-}
-
-std::vector<TmPoint>
-DesignSpace::tmSweep(const WorkloadFactory &factory,
-                     MachineConfig base,
-                     const std::vector<TmMode> &modes,
-                     const std::vector<NetTopology> &topologies,
-                     const std::vector<int> &setSizes, bool verbose)
-{
-    sweep::SweepOptions options = sweep::defaultSweepOptions();
-    options.verbose = options.verbose || verbose;
-
-    const std::string workloadName = factory()->name();
-
-    sweep::ResultStore store;
-    if (!options.resultsPath.empty())
-        store.open(options.resultsPath, options.resume);
-
-    std::vector<TmPoint> points;
-    points.reserve(modes.size() * topologies.size() *
-                   setSizes.size());
-    for (TmMode mode : modes) {
-        for (NetTopology topology : topologies) {
-            for (std::size_t s = 0; s < setSizes.size(); ++s) {
-                // Set size is a conflict-manager knob; --tm=off
-                // would evaluate the same lock baseline once per
-                // size, so take only the first for it.
-                if (mode == TmMode::Off && s > 0)
-                    break;
-                int entries = setSizes[s];
-
-                MachineConfig config = base;
-                config.tm.mode = mode;
-                config.tm.setEntries = entries;
-                config.net.topology = topology;
-                std::uint64_t key = sweep::pointKey(
-                    config, workloadName, options.scale);
-
-                TmPoint point;
-                point.mode = mode;
-                point.topology = topology;
-                point.setEntries = entries;
-
-                const sweep::StoredPoint *stored =
-                    options.resume && store.isOpen()
-                        ? store.find(key)
-                        : nullptr;
-                if (stored) {
-                    fatal_if(
-                        stored->workload != workloadName ||
-                            stored->net !=
-                                netTopologyName(topology) ||
-                            (mode != TmMode::Off &&
-                             (stored->tm != tmModeName(mode) ||
-                              stored->tmEntries != entries)),
-                        "results file '", options.resultsPath,
-                        "' record ", sweep::keyHex(key),
-                        " does not match its key's configuration ",
-                        "(key collision or corrupt store)");
-                    point.result = stored->result;
-                    points.push_back(std::move(point));
-                    continue;
-                }
-
-                if (options.obs.enabled) {
-                    obs::RecorderConfig obsConfig = options.obs;
-                    if (!obsConfig.tracePath.empty())
-                        obsConfig.tracePath = sweep::pointedPath(
-                            obsConfig.tracePath, key);
-                    if (!obsConfig.seriesPath.empty())
-                        obsConfig.seriesPath = sweep::pointedPath(
-                            obsConfig.seriesPath, key);
-                    config.obs = obsConfig;
-                }
-
-                auto workload = factory();
-                workload->reseed(key);
-                std::ostringstream statsJson;
-                auto pointStart = sweep::Clock::now();
-                point.result = runParallel(
-                    config, *workload, nullptr, nullptr,
-                    options.attachStats ? &statsJson : nullptr);
-                double wallMs = sweep::msSince(pointStart);
-
-                if (store.isOpen()) {
-                    sweep::StoredPoint record;
-                    record.key = key;
-                    record.workload = workloadName;
-                    record.scale = options.scale;
-                    record.cpusPerCluster = config.cpusPerCluster;
-                    record.sccBytes = config.scc.sizeBytes;
-                    record.net = netTopologyName(topology);
-                    record.tm = tmModeName(mode);
-                    if (mode != TmMode::Off)
-                        record.tmEntries = entries;
-                    record.result = point.result;
-                    record.wallMs = wallMs;
-                    record.statsJson = statsJson.str();
-                    record.series = point.result.obsSeries;
-                    store.append(record);
-                }
-                if (options.verbose) {
-                    inform("tm sweep: ", workloadName, " ",
-                           tmModeName(mode), " ",
-                           netTopologyName(topology),
-                           mode == TmMode::Off
-                               ? std::string()
-                               : "/" + std::to_string(entries) +
-                                     " entries",
-                           " -> ", point.result.cycles,
-                           " cycles, abortRate=",
-                           point.result.tmAbortRate, " (", wallMs,
-                           " ms)");
-                }
-                points.push_back(std::move(point));
-            }
-        }
-    }
-    return points;
-}
-
-std::vector<IsolationPoint>
-DesignSpace::isolationSweep(const WorkloadFactory &factory,
-                            MachineConfig base,
-                            const std::vector<IsolationMode> &modes,
-                            const std::vector<int> &domainCounts,
-                            bool verbose)
-{
-    sweep::SweepOptions options = sweep::defaultSweepOptions();
-    options.verbose = options.verbose || verbose;
-
-    const std::string workloadName = factory()->name();
-
-    sweep::ResultStore store;
-    if (!options.resultsPath.empty())
-        store.open(options.resultsPath, options.resume);
-
-    std::vector<IsolationPoint> points;
-    points.reserve(modes.size() * domainCounts.size());
-    for (IsolationMode mode : modes) {
-        for (std::size_t d = 0; d < domainCounts.size(); ++d) {
-            // Domains are a mitigation knob; --isolation=none
-            // would evaluate the same unmitigated baseline once
-            // per count, so take only the first for it.
-            if (mode == IsolationMode::None && d > 0)
-                break;
-            int domains = domainCounts[d];
-
-            MachineConfig config = base;
-            config.scc.sec.mode = mode;
-            config.scc.sec.domains = domains;
-            std::uint64_t key = sweep::pointKey(
-                config, workloadName, options.scale);
-
-            IsolationPoint point;
-            point.mode = mode;
-            point.domains = domains;
-
-            const sweep::StoredPoint *stored =
-                options.resume && store.isOpen() ? store.find(key)
-                                                 : nullptr;
-            if (stored) {
-                fatal_if(
-                    stored->workload != workloadName ||
-                        (mode != IsolationMode::None &&
-                         (stored->isolation !=
-                              isolationModeName(mode) ||
-                          stored->isolationDomains != domains)),
-                    "results file '", options.resultsPath,
-                    "' record ", sweep::keyHex(key),
-                    " does not match its key's configuration ",
-                    "(key collision or corrupt store)");
-                point.result = stored->result;
-                points.push_back(std::move(point));
-                continue;
-            }
-
-            if (options.obs.enabled) {
-                obs::RecorderConfig obsConfig = options.obs;
-                if (!obsConfig.tracePath.empty())
-                    obsConfig.tracePath = sweep::pointedPath(
-                        obsConfig.tracePath, key);
-                if (!obsConfig.seriesPath.empty())
-                    obsConfig.seriesPath = sweep::pointedPath(
-                        obsConfig.seriesPath, key);
-                config.obs = obsConfig;
-            }
-
-            auto workload = factory();
-            workload->reseed(key);
-            std::ostringstream statsJson;
-            auto pointStart = sweep::Clock::now();
-            point.result = runParallel(
-                config, *workload, nullptr, nullptr,
-                options.attachStats ? &statsJson : nullptr);
-            double wallMs = sweep::msSince(pointStart);
-
-            if (store.isOpen()) {
-                sweep::StoredPoint record;
-                record.key = key;
-                record.workload = workloadName;
-                record.scale = options.scale;
-                record.cpusPerCluster = config.cpusPerCluster;
-                record.sccBytes = config.scc.sizeBytes;
-                record.isolation = isolationModeName(mode);
-                if (mode != IsolationMode::None)
-                    record.isolationDomains = domains;
-                record.result = point.result;
-                record.wallMs = wallMs;
-                record.statsJson = statsJson.str();
-                record.series = point.result.obsSeries;
-                store.append(record);
-            }
-            if (options.verbose) {
-                inform("isolation sweep: ", workloadName, " ",
-                       isolationModeName(mode),
-                       mode == IsolationMode::None
-                           ? std::string()
-                           : "/" + std::to_string(domains) +
-                                 " domains",
-                       " -> ", point.result.cycles,
-                       " cycles, leak=",
-                       point.result.leakBitsPerEpoch,
-                       " bits/epoch (", wallMs, " ms)");
-            }
-            points.push_back(std::move(point));
-        }
-    }
-    return points;
 }
 
 } // namespace scmp

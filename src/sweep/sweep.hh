@@ -3,13 +3,16 @@
  * Host-parallel, resumable design-space sweep execution.
  *
  * Every figure and table in the paper is a grid sweep over
- * {processors per cluster} x {SCC size}, and each grid point is a
- * fully self-contained simulation (fresh Machine, fresh workload,
- * fresh Arena, deterministic engine). The SweepExecutor exploits
- * that independence: a work-stealing pool of host threads runs
- * points concurrently, a ResultStore persists each completed point
- * keyed by its stable configuration hash, and a resumed sweep
- * skips every point the store already holds.
+ * {processors per cluster} x {SCC size}; the axis studies (net,
+ * mem, consistency, tm, isolation) sweep other machine axes. Both
+ * are an ordered PointList — a MachineConfig plus axis tags per
+ * point — and each point is a fully self-contained simulation
+ * (fresh Machine, fresh workload, fresh Arena, deterministic
+ * engine). The SweepExecutor exploits that independence: a
+ * work-stealing pool of host threads runs points concurrently, a
+ * ResultStore persists each completed point keyed by its stable
+ * configuration hash, and a resumed sweep skips every point the
+ * store already holds.
  *
  * Correctness bar: a sweep with --jobs=N produces bit-identical
  * RunResults to the serial sweep. Each point's inputs are functions
@@ -33,7 +36,7 @@ namespace scmp::sweep
 {
 
 /**
- * Evaluation model for a grid sweep (--model=cycle|analytic|hybrid).
+ * Evaluation model for a sweep (--model=cycle|analytic|hybrid).
  *
  * Cycle runs every point through the cycle-accurate machine — the
  * reference mode, and the only one whose results are exact.
@@ -43,7 +46,9 @@ namespace scmp::sweep
  * Hybrid screens the whole grid analytically, ranks points by
  * predicted cycles, and runs only the top-K frontier
  * cycle-accurately — fast where the grid is boring, exact where it
- * matters.
+ * matters. The analytic model covers only the processors x SCC
+ * grid, so analytic and hybrid reject any list that varies another
+ * axis.
  */
 enum class SweepModel
 {
@@ -115,7 +120,7 @@ struct SweepOptions
 /** Counters describing what one run() actually did. */
 struct SweepRunStats
 {
-    std::size_t total = 0;     //!< grid points requested
+    std::size_t total = 0;     //!< points requested
     std::size_t computed = 0;  //!< simulated this run
     std::size_t reused = 0;    //!< served from the result store
     std::size_t screened = 0;  //!< evaluated analytically
@@ -135,20 +140,109 @@ struct SweepRunStats
 void setDefaultSweepOptions(const SweepOptions &options);
 const SweepOptions &defaultSweepOptions();
 
-/** Work-stealing executor over one design-point grid. */
+/**
+ * One design point of a sweep: the machine it runs, the axis tags
+ * that name it in the result store and progress lines, and (once
+ * SweepExecutor::run returns it) its result.
+ */
+struct SweepPoint
+{
+    MachineConfig config;
+    AxisTags axes;
+    RunResult result;
+};
+
+/**
+ * An ordered list of points derived from one template machine.
+ * Points run (serially), are stored and come back in list order.
+ */
+struct PointList
+{
+    /**
+     * The template every point varies. The analytic screen
+     * profiles it at the list's widest cluster, and accepts only
+     * lists that vary it in cpusPerCluster and scc.sizeBytes alone.
+     */
+    MachineConfig base;
+    std::vector<SweepPoint> points;
+};
+
+/// @name Point-list generators: the paper's grid and the studies.
+/// Each keeps its study's historical order and skip rules, so
+/// point keys and stored records match stores written before the
+/// studies shared the executor.
+/// @{
+
+/** base x sccSizes x clusterSizes, cluster sizes outer; no axes. */
+PointList gridPoints(const MachineConfig &base,
+                     const std::vector<std::uint64_t> &sccSizes,
+                     const std::vector<int> &clusterSizes);
+
+/** Topology outer, cluster count inner; "clusters"/"net" axes. */
+PointList netPoints(const MachineConfig &base,
+                    const std::vector<int> &clusterCounts,
+                    const std::vector<NetTopology> &topologies);
+
+/**
+ * Scheduler, channels, banks (outer to inner) on the banked DRAM
+ * backend; "mem"/"channels"/"banks"/"memSched" axes. base.dram
+ * supplies timing and row geometry.
+ */
+PointList memPoints(const MachineConfig &base,
+                    const std::vector<int> &channelCounts,
+                    const std::vector<int> &bankCounts,
+                    const std::vector<MemSched> &scheds);
+
+/**
+ * Model, topology, arbitration (outer to inner); "net"/"consistency"
+ * axes. Arbitration is a split-bus knob, so other fabrics take only
+ * the first discipline.
+ */
+PointList consistencyPoints(
+    const MachineConfig &base,
+    const std::vector<ConsistencyModel> &models,
+    const std::vector<NetTopology> &topologies,
+    const std::vector<NetArbitration> &arbitrations);
+
+/**
+ * Mode, topology, set size (outer to inner); "net"/"tm"/"tmEntries"
+ * axes. Set size is a conflict-manager knob, so the --tm=off lock
+ * baseline takes only the first size and carries no "tmEntries".
+ */
+PointList tmPoints(const MachineConfig &base,
+                   const std::vector<TmMode> &modes,
+                   const std::vector<NetTopology> &topologies,
+                   const std::vector<int> &setSizes);
+
+/**
+ * Mode outer, domain count inner; "isolation"/"isolationDomains"
+ * axes. Domains are a mitigation knob, so the --isolation=none
+ * baseline takes only the first count and carries no
+ * "isolationDomains".
+ */
+PointList isolationPoints(const MachineConfig &base,
+                          const std::vector<IsolationMode> &modes,
+                          const std::vector<int> &domainCounts);
+/// @}
+
+/** Work-stealing executor over one list of design points. */
 class SweepExecutor
 {
   public:
     explicit SweepExecutor(SweepOptions options);
 
     /**
-     * Evaluate base x sccSizes x clusterSizes (cluster sizes outer,
-     * like the serial sweep always did) and return the completed
-     * grid. May be called repeatedly; runStats() describes the most
-     * recent run.
+     * Evaluate every point of @p list and return the points, in
+     * list order, with their results filled in. May be called
+     * repeatedly; runStats() describes the most recent run.
      */
+    std::vector<SweepPoint> run(
+        const DesignSpace::WorkloadFactory &factory,
+        const PointList &list);
+
+    /** run() over gridPoints(), returned as a DesignGrid. */
     DesignGrid run(const DesignSpace::WorkloadFactory &factory,
-                   MachineConfig base,
+                   const MachineConfig &base,
                    const std::vector<std::uint64_t> &sccSizes,
                    const std::vector<int> &clusterSizes);
 

@@ -132,6 +132,29 @@ TEST(ConfigDeath, BadInteger)
                 ::testing::ExitedWithCode(1), "cannot parse");
 }
 
+TEST(Config, Lists)
+{
+    Config config;
+    config.set("sizes", std::string("4K,64K,512"));
+    config.set("procs", std::string("1,2,8"));
+    EXPECT_EQ(config.getSizeList("sizes"),
+              (std::vector<std::uint64_t>{4096, 65536, 512}));
+    EXPECT_EQ(config.getIntList("procs"), (std::vector<int>{1, 2, 8}));
+    EXPECT_EQ(config.getIntList("missing", {3}), std::vector<int>{3});
+    EXPECT_TRUE(config.unreadKeys().empty());
+}
+
+TEST(ConfigDeath, BadListElement)
+{
+    Config config;
+    config.set("procs", std::string("1,two"));
+    config.set("huge", std::string("4G"));
+    EXPECT_EXIT(config.getIntList("procs"),
+                ::testing::ExitedWithCode(1), "cannot parse size 'two'");
+    EXPECT_EXIT(config.getIntList("huge"),
+                ::testing::ExitedWithCode(1), "out of range");
+}
+
 TEST(Table, AlignmentAndAccess)
 {
     Table table("t");

@@ -117,27 +117,54 @@ class SeedProbe : public ParallelWorkload
 };
 
 void
+expectSameResult(const RunResult &a, const RunResult &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.references, b.references);
+    EXPECT_EQ(a.readMissRate, b.readMissRate);
+    EXPECT_EQ(a.missRate, b.missRate);
+    EXPECT_EQ(a.invalidations, b.invalidations);
+    EXPECT_EQ(a.busTransactions, b.busTransactions);
+    EXPECT_EQ(a.busUtilization, b.busUtilization);
+    EXPECT_EQ(a.verified, b.verified);
+}
+
+void
 expectSameResults(const DesignGrid &a, const DesignGrid &b)
 {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        const DesignPoint &pa = a[i];
-        const DesignPoint &pb = b[i];
-        EXPECT_EQ(pa.cpusPerCluster, pb.cpusPerCluster);
-        EXPECT_EQ(pa.sccBytes, pb.sccBytes);
-        EXPECT_EQ(pa.result.cycles, pb.result.cycles);
-        EXPECT_EQ(pa.result.instructions, pb.result.instructions);
-        EXPECT_EQ(pa.result.references, pb.result.references);
-        EXPECT_EQ(pa.result.readMissRate, pb.result.readMissRate);
-        EXPECT_EQ(pa.result.missRate, pb.result.missRate);
-        EXPECT_EQ(pa.result.invalidations,
-                  pb.result.invalidations);
-        EXPECT_EQ(pa.result.busTransactions,
-                  pb.result.busTransactions);
-        EXPECT_EQ(pa.result.busUtilization,
-                  pb.result.busUtilization);
-        EXPECT_EQ(pa.result.verified, pb.result.verified);
+        EXPECT_EQ(a[i].cpusPerCluster, b[i].cpusPerCluster);
+        EXPECT_EQ(a[i].sccBytes, b[i].sccBytes);
+        expectSameResult(a[i].result, b[i].result);
     }
+}
+
+void
+expectSameResults(const std::vector<sweep::SweepPoint> &a,
+                  const std::vector<sweep::SweepPoint> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(sweep::hashMachineConfig(a[i].config),
+                  sweep::hashMachineConfig(b[i].config));
+        EXPECT_EQ(a[i].axes, b[i].axes);
+        expectSameResult(a[i].result, b[i].result);
+        EXPECT_TRUE(a[i].result.verified);
+    }
+}
+
+/**
+ * A tm study list with its skip rule: the --tm=off lock baseline
+ * takes only the first set size, so 1 + 2 points.
+ */
+sweep::PointList
+tmStudy()
+{
+    return sweep::tmPoints(MachineConfig{},
+                           {TmMode::Off, TmMode::Eager},
+                           {NetTopology::Atomic}, {2, 64});
 }
 
 const std::vector<std::uint64_t> testSizes{8 << 10, 32 << 10};
@@ -254,6 +281,8 @@ TEST(ResultStore, RecordRoundTripIsExact)
     point.result.busTransactions = 77;
     point.result.busUtilization = 0.9999999999999999;
     point.result.verified = true;
+    point.axes = {{"net", "split"}, {"tm", "lazy"},
+                  {"tmEntries", "64"}};
     point.wallMs = 1234.5678;
     point.statsJson = "{\"bus\":{\"transactions\":77}}";
 
@@ -268,6 +297,7 @@ TEST(ResultStore, RecordRoundTripIsExact)
     EXPECT_EQ(back.scale, point.scale);
     EXPECT_EQ(back.cpusPerCluster, point.cpusPerCluster);
     EXPECT_EQ(back.sccBytes, point.sccBytes);
+    EXPECT_EQ(back.axes, point.axes);
     EXPECT_EQ(back.result.cycles, point.result.cycles);
     EXPECT_EQ(back.result.instructions,
               point.result.instructions);
@@ -345,6 +375,40 @@ TEST(ResultStoreDeath, CorruptLineIsFatal)
     std::remove(path.c_str());
 }
 
+TEST(ResultStoreDeath, BadFieldIsDiagnosedNotAborted)
+{
+    // A wrongly typed or out-of-range field is corruption like any
+    // other: a diagnostic naming the field, never an abort and
+    // never a silently truncated value.
+    const std::pair<const char *, const char *> cases[] = {
+        {"\"procs\":\"4\"", "field 'procs' is not an unsigned integer"},
+        {"\"procs\":4294967300", "field 'procs' is out of range"},
+    };
+    for (const auto &[field, diagnostic] : cases) {
+        std::string path = tempPath("store_bad_field.jsonl");
+        sweep::StoredPoint a;
+        a.key = 1;
+        a.workload = "mini";
+        a.scale = "quick";
+        a.cpusPerCluster = 4;
+        std::string line = sweep::ResultStore::serialize(a);
+        line.replace(line.find("\"procs\":4"), 9, field);
+        {
+            std::ofstream out(path);
+            out << sweep::ResultStore::serialize(a) << "\n"
+                << line << "\n";
+        }
+        EXPECT_EXIT(
+            {
+                sweep::ResultStore store;
+                store.open(path, true);
+            },
+            ::testing::ExitedWithCode(1),
+            std::string("corrupt at line 2: ") + diagnostic);
+        std::remove(path.c_str());
+    }
+}
+
 TEST(ResultStore, PartialFinalRecordIsDiscarded)
 {
     std::string path = tempPath("store_partial.jsonl");
@@ -400,6 +464,12 @@ TEST(Sweep, ParallelIsBitIdenticalToSerial)
     expectSameResults(serialGrid, parallelGrid);
     for (const auto &point : serialGrid)
         EXPECT_TRUE(point.result.verified);
+
+    // An axis study runs through the same pool, skip rule and all.
+    sweep::PointList study = tmStudy();
+    ASSERT_EQ(study.points.size(), 3u);
+    expectSameResults(serial.run(miniFactory(), study),
+                      parallel.run(miniFactory(), study));
 }
 
 TEST(Sweep, EveryPointGetsItsConfigHashSeed)
@@ -494,6 +564,188 @@ TEST(Sweep, ResumeRecomputesOnlyMissingPoints)
     EXPECT_EQ(factoryCalls, 1);
     expectSameResults(freshGrid, againGrid);
     std::remove(path.c_str());
+
+    // The same for an axis study: a store holding only the lock
+    // baseline serves it and the two TM points are computed.
+    std::string studyPath = tempPath("sweep_resume_study.jsonl");
+    std::remove(studyPath.c_str());
+    sweep::PointList study = tmStudy();
+    firstOptions.resultsPath = studyPath;
+    sweep::SweepExecutor(firstOptions)
+        .run(miniFactory(), {study.base, {study.points.front()}});
+    resumeOptions.resultsPath = studyPath;
+    sweep::SweepExecutor resumedStudy(resumeOptions);
+    auto resumedPoints = resumedStudy.run(miniFactory(), study);
+    EXPECT_EQ(resumedStudy.runStats().reused, 1u);
+    EXPECT_EQ(resumedStudy.runStats().computed, 2u);
+    expectSameResults(
+        sweep::SweepExecutor(sweep::SweepOptions{})
+            .run(miniFactory(), study),
+        resumedPoints);
+    std::remove(studyPath.c_str());
+}
+
+TEST(SweepDeath, StoredStudyRecordWithAnotherAxisIsFatal)
+{
+    // One single-point list per study. Resuming over a record whose
+    // key matches but whose axis value was changed must refuse it.
+    MachineConfig base;
+    base.scc.assoc = 4;  // way partitioning divides the ways
+    const sweep::PointList studies[] = {
+        sweep::netPoints(base, {2}, {NetTopology::Split}),
+        sweep::memPoints(base, {2}, {4}, {MemSched::FrFcfs}),
+        sweep::consistencyPoints(base, {ConsistencyModel::Weak},
+                                 {NetTopology::Atomic},
+                                 {NetArbitration::RoundRobin}),
+        sweep::tmPoints(base, {TmMode::Lazy}, {NetTopology::Atomic},
+                        {64}),
+        sweep::isolationPoints(base, {IsolationMode::WayPart}, {2}),
+    };
+    std::string path = tempPath("sweep_collision.jsonl");
+    for (const sweep::PointList &study : studies) {
+        sweep::SweepOptions options;
+        options.resultsPath = path;
+        sweep::SweepExecutor(options).run(miniFactory(), study);
+
+        std::string line;
+        std::getline(std::ifstream(path), line);
+        sweep::StoredPoint record;
+        std::string error;
+        ASSERT_TRUE(
+            sweep::ResultStore::deserialize(line, record, &error))
+            << error;
+        ASSERT_FALSE(record.axes.empty());
+        record.axes.back().value += "0";  // "split0", "640", ...
+        std::ofstream(path) << sweep::ResultStore::serialize(record)
+                            << "\n";
+
+        options.resume = true;
+        EXPECT_EXIT(
+            sweep::SweepExecutor(options).run(miniFactory(), study),
+            ::testing::ExitedWithCode(1),
+            "does not match its key's configuration");
+    }
+    std::remove(path.c_str());
+}
+
+TEST(SweepDeath, AnalyticScreenRejectsAxisStudies)
+{
+    // The analytic model covers only the processors x SCC grid.
+    sweep::SweepOptions options;
+    options.model = sweep::SweepModel::Hybrid;
+    EXPECT_EXIT(sweep::SweepExecutor(options).run(miniFactory(),
+                                                  tmStudy()),
+                ::testing::ExitedWithCode(1),
+                "--model=hybrid screens only the processors x SCC "
+                "grid, but mini point net=atomic tm=eager "
+                "tmEntries=2 varies the machine outside it");
+}
+
+/** One study's fixture lines: "study scale workload key axes". */
+std::string
+fixtureLines(const std::string &study, const std::string &scale,
+             const std::string &workload,
+             const sweep::PointList &list)
+{
+    std::string out;
+    for (const sweep::SweepPoint &point : list.points) {
+        out += study + " " + scale + " " + workload + " " +
+               sweep::keyHex(
+                   sweep::pointKey(point.config, workload, scale)) +
+               " " + sweep::ResultStore::serializeAxes(point.axes) +
+               "\n";
+    }
+    return out;
+}
+
+TEST(Sweep, StudyPointKeysMatchFixture)
+{
+    // Each figure bench's study at its default axes and base
+    // machine (bench/fig_*.cpp), at both scales whose keys a user
+    // may hold in a store. The fixture was captured from the
+    // per-study sweep loops these generators replaced; a key or
+    // axis change here orphans every existing store.
+    std::string got;
+    for (std::string scale : {"quick", "default"}) {
+        bool quick = scale == "quick";
+
+        MachineConfig net;
+        net.cpusPerCluster = 4;
+        net.scc.sizeBytes = 64 << 10;
+        net.net.segments = 2;
+        net.bus.transferOccupancy = 8;
+        got += fixtureLines(
+            "net", scale, "Barnes-Hut",
+            sweep::netPoints(net, {1, 2, 4, 8},
+                             {NetTopology::Atomic, NetTopology::Split,
+                              NetTopology::Tree}));
+
+        MachineConfig mem;
+        mem.cpusPerCluster = 4;
+        mem.scc.sizeBytes = 64 << 10;
+        mem.dram.rowBytes = 2048;
+        got += fixtureLines(
+            "mem", scale, "Barnes-Hut",
+            sweep::memPoints(mem, {1, 2, 4}, {1, 2, 4, 8},
+                             {MemSched::Fcfs, MemSched::FrFcfs}));
+
+        MachineConfig weak;
+        weak.numClusters = 4;
+        weak.cpusPerCluster = 4;
+        weak.scc.sizeBytes = 64 << 10;
+        weak.consistency.storeBufferEntries = 8;
+        weak.bus.transferOccupancy = 8;
+        for (const char *workload : {"Barnes-Hut", "MP3D"}) {
+            got += fixtureLines(
+                "consistency", scale, workload,
+                sweep::consistencyPoints(
+                    weak, {ConsistencyModel::Sc, ConsistencyModel::Weak},
+                    {NetTopology::Atomic, NetTopology::Split},
+                    {NetArbitration::RoundRobin,
+                     NetArbitration::Priority}));
+        }
+
+        MachineConfig tm;
+        tm.numClusters = 4;
+        tm.cpusPerCluster = 4;
+        tm.scc.sizeBytes = 64 << 10;
+        for (std::string workload :
+             {quick ? "tmkmeans-p1024-k8-r2" : "tmkmeans-p2048-k8-r3",
+              quick ? "tmvacation-r64-c16-t128-q4"
+                    : "tmvacation-r64-c16-t256-q4"}) {
+            got += fixtureLines(
+                "tm", scale, workload,
+                sweep::tmPoints(tm,
+                                {TmMode::Off, TmMode::Eager,
+                                 TmMode::Lazy},
+                                {NetTopology::Atomic, NetTopology::Split},
+                                {2, 64}));
+        }
+
+        MachineConfig sec = tm;
+        sec.scc.assoc = 4;
+        for (std::string workload :
+             {"Barnes-Hut", "MP3D",
+              quick ? "secpp-e32-k8-c65536x16/4"
+                    : "secpp-e96-k8-c65536x16/4"}) {
+            got += fixtureLines(
+                "isolation", scale, workload,
+                sweep::isolationPoints(
+                    sec,
+                    {IsolationMode::None, IsolationMode::WayPart,
+                     IsolationMode::Color, IsolationMode::Rand},
+                    {2, 4}));
+        }
+    }
+
+    std::ifstream fixture(SCMP_GOLDEN_DIR "/study_points.txt");
+    ASSERT_TRUE(fixture) << "missing study_points.txt fixture";
+    std::string want;
+    for (std::string line; std::getline(fixture, line);) {
+        if (!line.empty() && line[0] != '#')
+            want += line + "\n";
+    }
+    EXPECT_EQ(got, want);
 }
 
 TEST(Sweep, AttachedStatsLandInTheStore)
