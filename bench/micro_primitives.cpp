@@ -8,6 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "cpu/pipeline.hh"
 #include "exec/arena.hh"
 #include "exec/engine.hh"
@@ -148,6 +150,65 @@ BM_EngineRefStream(benchmark::State &state)
                             4 * 4096);
 }
 BENCHMARK(BM_EngineRefStream);
+
+/**
+ * Engine dispatch cost per reference: Arg(0) threads stream loads
+ * through a memory double with a latency mix (hits, short stalls,
+ * long misses), so most references reschedule. Setup — fiber
+ * stacks included — is not timed; the per_ref counter is the
+ * engine's whole per-reference cost (the double is a table lookup).
+ */
+void
+BM_EngineDispatch(benchmark::State &state)
+{
+    class MixMemory : public MemorySystem
+    {
+      public:
+        Cycle
+        access(CpuId cpu, RefType, Addr addr, Cycle now,
+               std::uint32_t) override
+        {
+            static const Cycle mix[8] = {0, 1, 0, 2, 5, 13, 40, 120};
+            std::uint64_t h = (addr >> 3) * 0x9e3779b97f4a7c15ull +
+                              (std::uint64_t)cpu * 7919u + ++_seq;
+            return now + mix[(h >> 59) & 7];
+        }
+
+      private:
+        std::uint64_t _seq = 0;
+    };
+
+    const int threads = (int)state.range(0);
+    const int refsPerThread = 65536 / threads;
+    for (auto _ : state) {
+        state.PauseTiming();
+        MixMemory memory;
+        auto arena = std::make_unique<Arena>(1 << 16);
+        auto engine = std::make_unique<Engine>(&memory, arena.get(),
+                                               EngineOptions{});
+        auto *data = arena->alloc<Shared<std::uint64_t>>(256);
+        for (CpuId cpu = 0; cpu < threads; ++cpu) {
+            engine->spawn(cpu, [data, cpu, refsPerThread](
+                                   ThreadCtx &ctx) {
+                for (int i = 0; i < refsPerThread; ++i)
+                    data[(cpu * 7 + i) % 256].ld(ctx);
+            });
+        }
+        state.ResumeTiming();
+        engine->run();
+        state.PauseTiming();
+        benchmark::DoNotOptimize(engine->totalRefs());
+        engine.reset();
+        arena.reset();
+        state.ResumeTiming();
+    }
+    const double refs = (double)threads * refsPerThread;
+    state.SetItemsProcessed((std::int64_t)(state.iterations() * refs));
+    state.counters["per_ref"] = benchmark::Counter(
+        refs, benchmark::Counter::kIsIterationInvariantRate |
+                  benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EngineDispatch)->Arg(4)->Arg(32)->Arg(128);
 
 void
 BM_Rng(benchmark::State &state)

@@ -12,6 +12,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "core/machine.hh"
 #include "exec/arena.hh"
 #include "exec/engine.hh"
@@ -130,33 +132,45 @@ BM_ScalarIncrement(benchmark::State &state)
     for (auto _ : state) {
         ++counter;
         counter += 3;
+        // Keep the counter in memory each iteration; otherwise the
+        // loop folds into one add and times nothing.
+        benchmark::DoNotOptimize(counter);
     }
     benchmark::DoNotOptimize(counter.value());
 }
 BENCHMARK(BM_ScalarIncrement);
 
 /** Everything together: fibers dispatching through the engine into
- *  a real machine, mostly same-line hits. */
+ *  a real machine, mostly same-line hits. Only engine.run() is
+ *  timed; building and tearing down the machine is not. */
 void
 BM_MachineRefStream(benchmark::State &state)
 {
+    MachineConfig config;
+    config.numClusters = 2;
+    config.cpusPerCluster = 2;
+    config.arenaBytes = 1 << 20;
     for (auto _ : state) {
-        MachineConfig config;
-        config.numClusters = 2;
-        config.cpusPerCluster = 2;
-        config.arenaBytes = 1 << 20;
-        Machine machine(config);
-        Arena arena(1 << 16);
-        Engine engine(&machine, &arena, EngineOptions{});
-        auto *data = arena.alloc<Shared<std::uint64_t>>(64);
+        state.PauseTiming();
+        auto machine = std::make_unique<Machine>(config);
+        auto arena = std::make_unique<Arena>(1 << 16);
+        auto engine = std::make_unique<Engine>(
+            machine.get(), arena.get(), EngineOptions{});
+        auto *data = arena->alloc<Shared<std::uint64_t>>(64);
         for (CpuId cpu = 0; cpu < 4; ++cpu) {
-            engine.spawn(cpu, [data, cpu](ThreadCtx &ctx) {
+            engine->spawn(cpu, [data, cpu](ThreadCtx &ctx) {
                 for (int i = 0; i < 4096; ++i)
                     data[(cpu * 8 + i % 8) % 64].ld(ctx);
             });
         }
-        engine.run();
-        benchmark::DoNotOptimize(engine.totalRefs());
+        state.ResumeTiming();
+        engine->run();
+        state.PauseTiming();
+        benchmark::DoNotOptimize(engine->totalRefs());
+        engine.reset();
+        arena.reset();
+        machine.reset();
+        state.ResumeTiming();
     }
     state.SetItemsProcessed((std::int64_t)state.iterations() *
                             4 * 4096);

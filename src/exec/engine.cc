@@ -115,7 +115,7 @@ Engine::blockThread(ThreadId tid)
     panic_if(t.state == State::Done, "blocking a finished thread");
     t.state = State::Blocked;
     // The heap entry goes stale and is discarded when popped.
-    invalidateMinOtherCache();
+    _topClean = false;
 }
 
 void
@@ -127,7 +127,7 @@ Engine::wakeThread(ThreadId tid, Cycle atTime)
     t.time = std::max(t.time, atTime);
     if (_running && &t != _current)
         pushReady(t);
-    invalidateMinOtherCache();
+    _topClean = false;
 }
 
 void
@@ -143,7 +143,55 @@ Engine::setTime(ThreadId tid, Cycle time)
     t.time = time;
     if (_running && &t != _current && t.state == State::Ready)
         pushReady(t);
-    invalidateMinOtherCache();
+    _topClean = false;
+}
+
+void
+Engine::ReadyHeap::push(ReadyEntry e)
+{
+    std::size_t i = _heap.size();
+    _heap.push_back(e);
+    while (i > 0) {
+        std::size_t parent = (i - 1) / 2;
+        if (!(e < _heap[parent]))
+            break;
+        _heap[i] = _heap[parent];
+        i = parent;
+    }
+    _heap[i] = e;
+}
+
+void
+Engine::ReadyHeap::pop()
+{
+    ReadyEntry last = _heap.back();
+    _heap.pop_back();
+    if (!_heap.empty())
+        siftDown(0, last);
+}
+
+void
+Engine::ReadyHeap::replaceTop(ReadyEntry e)
+{
+    siftDown(0, e);
+}
+
+void
+Engine::ReadyHeap::siftDown(std::size_t i, ReadyEntry e)
+{
+    std::size_t n = _heap.size();
+    for (;;) {
+        std::size_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && _heap[child + 1] < _heap[child])
+            ++child;
+        if (!(_heap[child] < e))
+            break;
+        _heap[i] = _heap[child];
+        i = child;
+    }
+    _heap[i] = e;
 }
 
 void
@@ -152,27 +200,33 @@ Engine::pushReady(const Thread &t)
     _ready.push(ReadyEntry{t.time, t.tid});
 }
 
-void
-Engine::seedMinOther()
+const Engine::ReadyEntry *
+Engine::minOtherReady()
 {
-    // Discard stale tops so the heap top is the smallest live
-    // (time, tid) among Ready threads other than the one about to
-    // run. A still-valid duplicate of the running thread is safe to
-    // consume here: it re-enters the heap when it yields.
-    while (!_ready.empty()) {
-        const ReadyEntry &e = _ready.top();
-        const Thread &t = *_threads[(std::size_t)e.tid];
-        if (t.state != State::Ready || t.time != e.time ||
-            &t == _current) {
+    if (!_topClean) {
+        // A still-valid duplicate of the running thread is safe to
+        // discard: the thread re-enters the heap when it yields.
+        while (!_ready.empty()) {
+            const ReadyEntry &e = _ready.top();
+            const Thread &t = *_threads[(std::size_t)e.tid];
+            if (t.state == State::Ready && t.time == e.time &&
+                &t != _current)
+                break;
             _ready.pop();
-            continue;
         }
-        break;
+        _topClean = true;
     }
-    _minOtherFound = !_ready.empty();
-    _minOtherTime = _minOtherFound ? _ready.top().time : 0;
-    _minOtherTid = _minOtherFound ? _ready.top().tid : -1;
-    _minOtherValid = true;
+    return _ready.empty() ? nullptr : &_ready.top();
+}
+
+void
+Engine::dispatch(Thread &next)
+{
+    _current = &next;
+    _topClean = false;
+    _sliceStart = next.time;
+    if (_recorder)
+        _recorder->tick(_sliceStart);
 }
 
 void
@@ -183,7 +237,7 @@ Engine::run()
     _running = true;
 
     // (Re)build the dispatch heap from scratch.
-    _ready = decltype(_ready)();
+    _ready.clear();
     _live = 0;
     for (const auto &t : _threads) {
         if (t->state == State::Done)
@@ -197,55 +251,48 @@ Engine::run()
         _policy->onStart(*this);
 
     for (;;) {
-        // Pick the runnable thread with the smallest (time, tid).
-        // Popped entries that no longer match a thread's live state
-        // are leftovers from a block/wake/setTime and are skipped.
-        Thread *next = nullptr;
-        while (!_ready.empty()) {
-            ReadyEntry e = _ready.top();
-            _ready.pop();
-            Thread &t = *_threads[(std::size_t)e.tid];
-            if (t.state != State::Ready || t.time != e.time)
-                continue;
-            next = &t;
-            break;
-        }
-        if (!next) {
+        // Nothing runs here, so every valid entry is a candidate.
+        _topClean = false;
+        const ReadyEntry *top = minOtherReady();
+        if (!top) {
             panic_if(_live > 0,
                      "deadlock: live threads but none runnable");
             break;
         }
+        Thread &next = *_threads[(std::size_t)top->tid];
+        _ready.pop();
+        dispatch(next);
+        next.fiber->resume();
 
-        _current = next;
-        seedMinOther();
-        Cycle sliceStart = next->time;
-        if (_recorder)
-            _recorder->tick(sliceStart);
-        next->fiber->resume();
+        // Yields hand off fiber to fiber (yieldThread), so control
+        // only returns here once the running thread — not
+        // necessarily `next` — has finished, or has blocked with
+        // nothing left to run (the deadlock reported above).
+        Thread &t = *_current;
         _current = nullptr;
-
-        if (next->fiber->finished()) {
-            DPRINTF(Exec, "thread ", next->tid, " finished @",
-                    next->time);
-            next->state = State::Done;
-            --_live;
-            flushWork(*next);
-            // A finishing thread drains its store buffer so its
-            // last writes are globally performed by finishTime
-            // (no-op under sequential consistency).
-            next->time = _mem->fence(next->cpu, next->time);
-            next->stats.finishTime = next->time;
-            _finishTime = std::max(_finishTime, next->time);
-            if (_policy)
-                _policy->onThreadDone(*this, next->tid);
-        } else if (next->state == State::Ready) {
-            pushReady(*next);
-        }
+        if (t.fiber->finished())
+            finishThread(t);
         if (_recorder)
-            _recorder->threadSlice(next->tid, sliceStart,
-                                   next->time);
+            _recorder->threadSlice(t.tid, _sliceStart, t.time);
     }
     _running = false;
+}
+
+void
+Engine::finishThread(Thread &t)
+{
+    DPRINTF(Exec, "thread ", t.tid, " finished @", t.time);
+    t.state = State::Done;
+    --_live;
+    flushWork(t);
+    // A finishing thread drains its store buffer so its last writes
+    // are globally performed by finishTime (no-op under sequential
+    // consistency).
+    t.time = _mem->fence(t.cpu, t.time);
+    t.stats.finishTime = t.time;
+    _finishTime = std::max(_finishTime, t.time);
+    if (_policy)
+        _policy->onThreadDone(*this, t.tid);
 }
 
 void
@@ -258,40 +305,12 @@ Engine::flushWork(Thread &t)
     }
 }
 
-bool
-Engine::minOtherReadyTime(const Thread &self, Cycle &minTime) const
-{
-    if (&self == _current && _minOtherValid) {
-        minTime = _minOtherTime;
-        return _minOtherFound;
-    }
-    bool found = false;
-    ThreadId minTid = -1;
-    for (const auto &t : _threads) {
-        if (t.get() == &self || t->state != State::Ready)
-            continue;
-        if (!found || t->time < minTime) {
-            minTime = t->time;
-            minTid = t->tid;
-            found = true;
-        }
-    }
-    if (&self == _current) {
-        _minOtherTime = found ? minTime : 0;
-        _minOtherTid = minTid;
-        _minOtherFound = found;
-        _minOtherValid = true;
-    }
-    return found;
-}
-
 void
 Engine::maybeYield(Thread &t)
 {
-    Cycle minOther = 0;
-    if (!minOtherReadyTime(t, minOther))
-        return;
-    if ((CycleDelta)(t.time - minOther) > _options.slackWindow)
+    const ReadyEntry *other = minOtherReady();
+    if (other &&
+        (CycleDelta)(t.time - other->time) > _options.slackWindow)
         yieldThread(t);
 }
 
@@ -299,18 +318,31 @@ void
 Engine::yieldThread(Thread &t)
 {
     panic_if(_current != &t, "yield from a non-current thread");
+    const ReadyEntry *other = minOtherReady();
+    ReadyEntry self{t.time, t.tid};
     if (t.state == State::Ready) {
-        // If this thread is still the dispatch minimum the
-        // scheduler would resume it immediately — skip the fiber
-        // round-trip. The dispatcher's choice is the (time, tid)
-        // minimum over Ready threads, so continuing inline is
-        // indistinguishable from yielding and being re-picked.
-        Cycle minOther = 0;
-        if (!minOtherReadyTime(t, minOther) || t.time < minOther ||
-            (t.time == minOther && t.tid < _minOtherTid))
+        // Still the dispatch minimum: the scheduler would pick this
+        // thread again, so continuing inline is indistinguishable
+        // from yielding.
+        if (!other || self < *other)
             return;
+    } else if (!other) {
+        // Blocked with nothing runnable: run() reports it.
+        Fiber::yieldToCaller();
+        return;
     }
-    Fiber::yieldToCaller();
+
+    // Hand off straight to the dispatch minimum. A still-Ready
+    // yielder takes the picked thread's heap slot in one sift-down.
+    Thread &next = *_threads[(std::size_t)other->tid];
+    if (t.state == State::Ready)
+        _ready.replaceTop(self);
+    else
+        _ready.pop();
+    if (_recorder)
+        _recorder->threadSlice(t.tid, _sliceStart, t.time);
+    dispatch(next);
+    Fiber::switchTo(*next.fiber);
 }
 
 void

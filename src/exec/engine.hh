@@ -19,7 +19,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "exec/arena.hh"
@@ -373,44 +372,58 @@ class Engine
     /** Yield if another runnable thread is too far behind. */
     void maybeYield(Thread &t);
 
-    /** Smallest clock among Ready threads other than @p self. */
-    bool minOtherReadyTime(const Thread &self, Cycle &minTime) const;
-
-    /** Drop the cached min-other-ready result (state changed). */
-    void
-    invalidateMinOtherCache()
-    {
-        _minOtherValid = false;
-    }
-
     /**
      * One ready-heap element. Entries are lazily deleted: a thread
      * whose clock or state changed leaves its old entry behind, and
-     * the dispatcher discards any popped entry that no longer
-     * matches the thread's live (state, time).
+     * stale entries — no longer matching the thread's live (state,
+     * time), or naming the running thread — are discarded when they
+     * reach the top.
      */
     struct ReadyEntry
     {
         Cycle time;
         ThreadId tid;
+
+        /** Dispatch order: earlier clock first, ties to lower tid. */
+        bool
+        operator<(const ReadyEntry &o) const
+        {
+            return time != o.time ? time < o.time : tid < o.tid;
+        }
     };
 
-    /** Min-heap order on (time, tid) — the dispatch tie-break. */
-    struct ReadyLater
+    /** Binary min-heap of ReadyEntry on (time, tid). */
+    class ReadyHeap
     {
-        bool
-        operator()(const ReadyEntry &a, const ReadyEntry &b) const
-        {
-            return a.time != b.time ? a.time > b.time
-                                    : a.tid > b.tid;
-        }
+      public:
+        bool empty() const { return _heap.empty(); }
+        const ReadyEntry &top() const { return _heap.front(); }
+        void clear() { _heap.clear(); }
+        void push(ReadyEntry e);
+        void pop();
+        /** pop() then push(@p e), in one sift-down. */
+        void replaceTop(ReadyEntry e);
+
+      private:
+        void siftDown(std::size_t i, ReadyEntry e);
+        std::vector<ReadyEntry> _heap;
     };
 
     /** Enter @p t into the ready heap at its current clock. */
     void pushReady(const Thread &t);
 
-    /** Seed the min-other cache from the heap top at dispatch. */
-    void seedMinOther();
+    /**
+     * The ready-heap top with stale entries discarded: the smallest
+     * (time, tid) among Ready threads other than the running one,
+     * or nullptr when there is none.
+     */
+    const ReadyEntry *minOtherReady();
+
+    /** Make @p next the running thread and open its slice. */
+    void dispatch(Thread &next);
+
+    /** Retire the thread whose fiber body returned. */
+    void finishThread(Thread &t);
 
     Thread &threadRef(ThreadId tid);
     const Thread &threadRef(ThreadId tid) const;
@@ -426,32 +439,27 @@ class Engine
     std::uint64_t _totalRefs = 0;
     bool _running = false;
 
-    /**
-     * Memoized minOtherReadyTime for the current slice. While one
-     * thread runs, every other thread's clock and state are frozen
-     * unless this engine mutates them (wake/block/setTime) — so the
-     * O(threads) scan that used to run on EVERY reference collapses
-     * to one compare. Invalidated at each dispatch and by every
-     * cross-thread mutation; purely a cache, so scheduling decisions
-     * (and therefore timing) are bit-identical.
-     */
-    mutable Cycle _minOtherTime = 0;
-    mutable ThreadId _minOtherTid = -1;
-    mutable bool _minOtherFound = false;
-    mutable bool _minOtherValid = false;
+    /** Clock of the running thread when its slice began. */
+    Cycle _sliceStart = 0;
 
     /**
      * Lazy-deletion dispatch heap. Invariant: every Ready thread
      * that is not currently running has an entry carrying its exact
-     * current (time, tid); stale entries (clock moved, thread
-     * blocked or finished) are discarded when popped. Selection is
-     * therefore identical to the original linear scan — the valid
-     * minimum of (time, tid) over Ready threads — at O(log n) per
-     * dispatch instead of O(n).
+     * current (time, tid). Selection is therefore the valid minimum
+     * of (time, tid) over Ready threads, at O(log n) per dispatch.
      */
-    std::priority_queue<ReadyEntry, std::vector<ReadyEntry>,
-                        ReadyLater>
-        _ready;
+    ReadyHeap _ready;
+
+    /**
+     * True while the heap top is known valid for the running
+     * thread. While one thread runs, every other thread's clock and
+     * state are frozen unless this engine mutates them
+     * (wake/block/setTime), so the per-reference min-other query is
+     * one compare against the top; a dispatch or a cross-thread
+     * mutation clears this and the next query re-cleans the top.
+     */
+    bool _topClean = false;
+
     /** Threads not yet Done (for the deadlock diagnostic). */
     int _live = 0;
 };

@@ -5,6 +5,10 @@
 
 #include "sim/logging.hh"
 
+#ifdef SCMP_FIBER_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 #ifndef SCMP_FIBER_UCONTEXT
 extern "C" void scmpFiberSwitch(void **saveSp, void *newSp);
 extern "C" void scmpFiberEntryThunk();
@@ -37,7 +41,7 @@ Fiber::Fiber(std::function<void()> fn, std::size_t stackBytes)
 {
     panic_if(stackBytes < 16 * 1024, "fiber stack too small");
 #ifdef SCMP_FIBER_UCONTEXT
-    // Deferred to first resume(); nothing to do here.
+    // Deferred to first entry (prepare()); nothing to do here.
 #else
     // Carve the initial switch frame at the top of the stack:
     //   [r15 r14 r13 r12 rbx rbp] [thunk return address]
@@ -68,12 +72,53 @@ Fiber::~Fiber()
              "a fiber cannot destroy itself");
 }
 
+/*
+ * AddressSanitizer tracks one stack per thread. Unless every switch
+ * is announced, the first exception unwound on a fiber stack (a TM
+ * abort) cannot clear the poison of the frames it pops, and later
+ * frames at those addresses report false overflows.
+ */
+void
+Fiber::asanLeave(Fiber *next)
+{
+#ifdef SCMP_FIBER_ASAN
+    if (!next) {
+        __sanitizer_start_switch_fiber(&_asanFakeStack, _resumerStack,
+                                       _resumerStackBytes);
+        return;
+    }
+    next->_resumerStack = _resumerStack;
+    next->_resumerStackBytes = _resumerStackBytes;
+    __sanitizer_start_switch_fiber(&_asanFakeStack, next->_stack.get(),
+                                   next->_stackBytes);
+#else
+    (void)next;
+#endif
+}
+
+void
+Fiber::asanArrive()
+{
+#ifdef SCMP_FIBER_ASAN
+    const void *from = nullptr;
+    std::size_t fromBytes = 0;
+    __sanitizer_finish_switch_fiber(_asanFakeStack, &from, &fromBytes);
+    // Entered by resume(): the stack we came from is the resumer's.
+    // Entered by switchTo(): the resumer was inherited instead.
+    if (!_resumerStack) {
+        _resumerStack = from;
+        _resumerStackBytes = fromBytes;
+    }
+#endif
+}
+
 void
 Fiber::trampolineEntry(Fiber *self)
 {
+    self->asanArrive();
     self->_fn();
     self->_finished = true;
-    // Return control to the caller forever; resuming again panics
+    // Return control to the resumer forever; resuming again panics
     // before ever reaching this loop.
     for (;;)
         yieldToCaller();
@@ -92,56 +137,83 @@ ucontextTrampoline(unsigned hi, unsigned lo)
 } // namespace
 
 void
-Fiber::resume()
+Fiber::prepare()
 {
-    panic_if(_finished, "resuming a finished fiber");
-    panic_if(currentFiber == this, "fiber resuming itself");
-    Fiber *previous = currentFiber;
-    currentFiber = this;
-    if (!_started) {
-        _started = true;
-        getcontext(&_context);
-        _context.uc_stack.ss_sp = _stack.get();
-        _context.uc_stack.ss_size = _stackBytes;
-        _context.uc_link = &_callerContext;
-        auto ptr = (std::uintptr_t)this;
-        makecontext(&_context, (void (*)())ucontextTrampoline, 2,
-                    (unsigned)(ptr >> 32), (unsigned)ptr);
-    }
-    swapcontext(&_callerContext, &_context);
-    currentFiber = previous;
-}
-
-void
-Fiber::yieldToCaller()
-{
-    Fiber *self = currentFiber;
-    panic_if(!self, "yieldToCaller outside any fiber");
-    swapcontext(&self->_context, &self->_callerContext);
-}
-
-#else // x86-64 fast path
-
-void
-Fiber::resume()
-{
-    panic_if(_finished, "resuming a finished fiber");
-    panic_if(currentFiber == this, "fiber resuming itself");
-    Fiber *previous = currentFiber;
-    currentFiber = this;
+    if (_started)
+        return;
     _started = true;
-    scmpFiberSwitch(&_callerSp, _sp);
-    currentFiber = previous;
-}
-
-void
-Fiber::yieldToCaller()
-{
-    Fiber *self = currentFiber;
-    panic_if(!self, "yieldToCaller outside any fiber");
-    scmpFiberSwitch(&self->_sp, self->_callerSp);
+    getcontext(&_context);
+    _context.uc_stack.ss_sp = _stack.get();
+    _context.uc_stack.ss_size = _stackBytes;
+    // trampolineEntry never returns, so no successor context.
+    _context.uc_link = nullptr;
+    auto ptr = (std::uintptr_t)this;
+    makecontext(&_context, (void (*)())ucontextTrampoline, 2,
+                (unsigned)(ptr >> 32), (unsigned)ptr);
 }
 
 #endif
+
+void
+Fiber::resume()
+{
+    panic_if(_finished, "resuming a finished fiber");
+    panic_if(currentFiber == this, "fiber resuming itself");
+    Fiber *previous = currentFiber;
+    currentFiber = this;
+#ifdef SCMP_FIBER_ASAN
+    void *fakeStack = nullptr;
+    _resumerStack = nullptr;
+    __sanitizer_start_switch_fiber(&fakeStack, _stack.get(), _stackBytes);
+#endif
+#ifdef SCMP_FIBER_UCONTEXT
+    prepare();
+    // The resumer's context lives in this frame, which stays put
+    // until a fiber of the hand-off chain yields back into it.
+    ucontext_t caller;
+    _callerContext = &caller;
+    swapcontext(&caller, &_context);
+#else
+    scmpFiberSwitch(&_callerSp, _sp);
+#endif
+#ifdef SCMP_FIBER_ASAN
+    __sanitizer_finish_switch_fiber(fakeStack, nullptr, nullptr);
+#endif
+    currentFiber = previous;
+}
+
+void
+Fiber::yieldToCaller()
+{
+    Fiber *self = currentFiber;
+    panic_if(!self, "yieldToCaller outside any fiber");
+    self->asanLeave(nullptr);
+#ifdef SCMP_FIBER_UCONTEXT
+    swapcontext(&self->_context, self->_callerContext);
+#else
+    scmpFiberSwitch(&self->_sp, self->_callerSp);
+#endif
+    self->asanArrive();
+}
+
+void
+Fiber::switchTo(Fiber &next)
+{
+    Fiber *self = currentFiber;
+    panic_if(!self, "switchTo outside any fiber");
+    panic_if(&next == self, "fiber switching to itself");
+    panic_if(next._finished, "switching to a finished fiber");
+    currentFiber = &next;
+    self->asanLeave(&next);
+#ifdef SCMP_FIBER_UCONTEXT
+    next.prepare();
+    next._callerContext = self->_callerContext;
+    swapcontext(&self->_context, &next._context);
+#else
+    next._callerSp = self->_callerSp;
+    scmpFiberSwitch(&self->_sp, next._sp);
+#endif
+    self->asanArrive();
+}
 
 } // namespace scmp

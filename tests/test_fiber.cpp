@@ -1,10 +1,13 @@
 /**
  * @file
- * Tests for the stackful fiber substrate.
+ * Tests for the stackful fiber substrate. Built twice: against the
+ * platform's default switch and, as test_fiber_ucontext, against
+ * the portable ucontext fallback.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "exec/fiber.hh"
@@ -121,6 +124,73 @@ TEST(Fiber, SwitchThroughputIsSane)
     EXPECT_EQ(count, 1000000u);
 }
 
+TEST(Fiber, SwitchToRingHandsOff)
+{
+    // Control travels around a ring of fibers by direct hand-off;
+    // only the last hop yields, and it lands back in the resume()
+    // that started the chain.
+    constexpr int numFibers = 5;
+    constexpr int rounds = 3;
+    std::vector<std::unique_ptr<Fiber>> ring;
+    std::vector<int> hops;
+    int misses = 0;
+    for (int i = 0; i < numFibers; ++i) {
+        ring.push_back(std::make_unique<Fiber>([&, i] {
+            for (int r = 0; r < rounds; ++r) {
+                hops.push_back(i);
+                if (Fiber::current() != ring[(std::size_t)i].get())
+                    ++misses;
+                if (i == numFibers - 1 && r == rounds - 1)
+                    Fiber::yieldToCaller();
+                else
+                    Fiber::switchTo(
+                        *ring[(std::size_t)(i + 1) % numFibers]);
+            }
+        }));
+    }
+    ring[0]->resume();
+    EXPECT_EQ(Fiber::current(), nullptr);
+    EXPECT_EQ(misses, 0);
+    ASSERT_EQ(hops.size(), (std::size_t)(numFibers * rounds));
+    for (std::size_t h = 0; h < hops.size(); ++h)
+        EXPECT_EQ(hops[h], (int)h % numFibers);
+
+    // A fiber suspended inside switchTo() resumes from there.
+    ring[0]->resume();
+    EXPECT_TRUE(ring[0]->finished());
+    EXPECT_EQ(hops.size(), (std::size_t)(numFibers * rounds));
+    EXPECT_EQ(Fiber::current(), nullptr);
+}
+
+TEST(Fiber, SwitchToStartsUnstartedFiber)
+{
+    std::vector<int> trace;
+    Fiber *seen = nullptr;
+    std::unique_ptr<Fiber> second;
+    Fiber first([&] {
+        trace.push_back(1);
+        Fiber::switchTo(*second);
+        trace.push_back(4);
+    });
+    second = std::make_unique<Fiber>([&] {
+        seen = Fiber::current();
+        trace.push_back(2);
+        // Inherited resumer: this returns into first.resume().
+        Fiber::yieldToCaller();
+        trace.push_back(6);
+    });
+    first.resume();
+    trace.push_back(3);
+    EXPECT_EQ(seen, second.get());
+    EXPECT_FALSE(first.finished());
+    first.resume();
+    trace.push_back(5);
+    EXPECT_TRUE(first.finished());
+    second->resume();
+    EXPECT_TRUE(second->finished());
+    EXPECT_EQ(trace, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+}
+
 TEST(FiberDeath, ResumingFinishedFiberPanics)
 {
     Fiber fiber([] {});
@@ -131,6 +201,26 @@ TEST(FiberDeath, ResumingFinishedFiberPanics)
 TEST(FiberDeath, YieldOutsideFiberPanics)
 {
     EXPECT_DEATH(Fiber::yieldToCaller(), "outside any fiber");
+}
+
+TEST(FiberDeath, SwitchToSelf)
+{
+    Fiber fiber([] { Fiber::switchTo(*Fiber::current()); });
+    EXPECT_DEATH(fiber.resume(), "switching to itself");
+}
+
+TEST(FiberDeath, SwitchToFinished)
+{
+    Fiber done([] {});
+    done.resume();
+    Fiber fiber([&done] { Fiber::switchTo(done); });
+    EXPECT_DEATH(fiber.resume(), "finished fiber");
+}
+
+TEST(FiberDeath, SwitchToOutsideFiber)
+{
+    Fiber fiber([] {});
+    EXPECT_DEATH(Fiber::switchTo(fiber), "outside any fiber");
 }
 
 } // namespace
