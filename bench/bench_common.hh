@@ -110,9 +110,8 @@ parseBenchArgs(int argc, char **argv)
 
     // Sweep execution knobs: every DesignSpace::sweep call in this
     // binary runs through the executor with these settings.
-    std::string jobsText = options.config.getString("jobs", "1");
     options.sweep.jobs =
-        jobsText == "auto" ? 0 : std::stoi(jobsText);
+        sweep::parseJobs(options.config.getString("jobs", "1"));
     options.sweep.model = sweep::parseSweepModel(
         options.config.getString("model", "cycle"));
     options.sweep.topK = (int)options.config.getInt("topk", 0);

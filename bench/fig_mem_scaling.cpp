@@ -25,6 +25,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "core/config_schema.hh"
 #include "sweep/point_key.hh"
 
 int
@@ -75,7 +76,7 @@ main(int argc, char **argv)
 
     auto comboName = [](int channels, MemSched sched) {
         return std::to_string(channels) + "ch/" +
-               std::string(memSchedName(sched));
+               std::string(enumName(sched));
     };
 
     Table time("Memory scaling: execution time (cycles), Barnes "

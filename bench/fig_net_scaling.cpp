@@ -22,6 +22,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "core/config_schema.hh"
 
 int
 main(int argc, char **argv)
@@ -41,8 +42,7 @@ main(int argc, char **argv)
         (int)options.config.getInt("segments", 2);
     std::string arbitration =
         options.config.getString("arbitration", "rr");
-    fatal_if(!parseNetArbitration(arbitration,
-                                  &base.net.arbitration),
+    fatal_if(!parseEnum(arbitration, &base.net.arbitration),
              "--arbitration must be 'rr' or 'priority'");
     // The study is about fabric contention, so give transfers a
     // realistic occupancy (the paper's near-zero default would make

@@ -32,6 +32,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "core/config_schema.hh"
 #include "workloads/sec/prime_probe.hh"
 
 namespace
@@ -66,7 +67,7 @@ writeJson(const std::string &path, const char *scale,
     };
     auto head = [&put](const sweep::SweepPoint &p) {
         put("    {\"isolation\": \"%s\", \"domains\": %d",
-            isolationModeName(p.config.scc.sec.mode), domainsOf(p));
+            enumName(p.config.scc.sec.mode), domainsOf(p));
     };
 
     put("{\n  \"bench\": \"fig_sec\",\n");
@@ -93,7 +94,7 @@ writeJson(const std::string &path, const char *scale,
             put("    {\"workload\": \"%s\", ",
                 cost.workload.c_str());
             put("\"isolation\": \"%s\", \"domains\": %d",
-                isolationModeName(p.config.scc.sec.mode),
+                enumName(p.config.scc.sec.mode),
                 domainsOf(p));
             put(", \"cycles\": %llu, \"readMissRate\": %.4f, "
                 "\"slowdown\": %.4f}%s\n",
@@ -184,7 +185,7 @@ main(int argc, char **argv)
         for (const sweep::SweepPoint &p : cost.points) {
             int domains = domainsOf(p);
             table.addRow(
-                {isolationModeName(p.config.scc.sec.mode),
+                {enumName(p.config.scc.sec.mode),
                  domains ? Table::cell((std::uint64_t)domains) : "-",
                  Table::cell(p.result.cycles),
                  Table::cell(p.result.readMissRate, 4),
@@ -218,7 +219,7 @@ main(int argc, char **argv)
     for (const sweep::SweepPoint &p : channel) {
         int domains = domainsOf(p);
         table.addRow(
-            {isolationModeName(p.config.scc.sec.mode),
+            {enumName(p.config.scc.sec.mode),
              domains ? Table::cell((std::uint64_t)domains) : "-",
              Table::cell(p.result.cycles),
              Table::cell(p.result.secProbeAccuracy, 3),

@@ -22,6 +22,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "core/config_schema.hh"
 #include "workloads/tm/tm_workloads.hh"
 
 int
@@ -103,13 +104,13 @@ main(int argc, char **argv)
             NetTopology topology = p.config.net.topology;
             const RunResult &r = p.result;
             if (tm.mode == TmMode::Off) {
-                table.addRow({netTopologyName(topology), "lock", "-",
+                table.addRow({enumName(topology), "lock", "-",
                               Table::cell(r.cycles), "-", "-", "-",
                               Table::cell(1.0, 3)});
                 continue;
             }
             table.addRow(
-                {netTopologyName(topology), tmModeName(tm.mode),
+                {enumName(topology), enumName(tm.mode),
                  Table::cell((std::uint64_t)tm.setEntries),
                  Table::cell(r.cycles), Table::cell(r.tmCommits),
                  Table::cell(r.tmAbortRate, 3),

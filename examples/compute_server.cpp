@@ -67,8 +67,7 @@ main(int argc, char **argv)
         config.getSizeList("scc", {32ull << 10, 128ull << 10});
 
     sweep::SweepOptions options;
-    std::string jobsText = config.getString("jobs", "1");
-    options.jobs = jobsText == "auto" ? 0 : std::stoi(jobsText);
+    options.jobs = sweep::parseJobs(config.getString("jobs", "1"));
     options.model = sweep::parseSweepModel(
         config.getString("model", "cycle"));
     options.topK = (int)config.getInt("topk", 0);

@@ -7,10 +7,10 @@
  * Usage:
  *   design_space [barnes|mp3d|cholesky]
  *                [--quick] [--sizes=4K,64K,512K] [--procs=1,2,4,8]
- *                [--jobs=N] [--results=FILE] [--resume] [--stats]
+ *                [--jobs=N|auto] [--results=FILE] [--resume] [--stats]
  *
- * --jobs=N runs N design points concurrently (0 = one job per
- * hardware thread); --results persists every completed point to a
+ * --jobs=N runs N design points concurrently (auto or 0 = one job
+ * per hardware thread); --results persists every completed point to a
  * JSON-lines store and --resume skips points already in it, so an
  * interrupted paper-scale sweep restarts where it stopped.
  */
@@ -74,7 +74,8 @@ main(int argc, char **argv)
     }
 
     scmp::sweep::SweepOptions sweepOptions;
-    sweepOptions.jobs = (int)config.getInt("jobs", 1);
+    sweepOptions.jobs =
+        scmp::sweep::parseJobs(config.getString("jobs", "1"));
     sweepOptions.resultsPath = config.getString("results", "");
     sweepOptions.resume = config.getBool("resume", false);
     sweepOptions.attachStats = config.getBool("stats", false);

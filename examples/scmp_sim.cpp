@@ -10,35 +10,16 @@
  * Usage:
  *   scmp_sim <barnes|mp3d|cholesky|multiprog|fuzz
  *             |tmkmeans|tmvacation|secpp>
- *     [--clusters=N] [--procs=N] [--scc=SIZE] [--line=SIZE]
- *     [--assoc=N] [--banks=N] [--organization=shared|private]
- *     [--protocol=invalidate|update] [--bus-occupancy=N]
- *     [--net=atomic|split|tree] [--segments=N]
- *     [--arbitration=rr|priority] [--sf-cap=N]
- *     [--mem=flat|banked] [--channels=N] [--mem-banks=N]
- *     [--mem-sched=fcfs|frfcfs]
- *     [--consistency=sc|weak] [--sb-entries=N]
- *     [--tm=off|eager|lazy] [--tm-set-entries=N]
- *     [--tm-max-aborts=N]
- *     [--isolation=none|waypart|color|rand]
- *     [--isolation-domains=N] [--rekey-fills=N]
- *     [--icache=0|1] [--check] [--stats] [--csv]
+ *     [machine flags] [--stats] [--csv]
  *     [--obs[=FILE]] [--obs-interval=N] [--obs-series=FILE]
- *     [--obs-sec-sets=N]
+ *     [--obs-sec-sets=N] [workload knobs]
  *   scmp_sim --list
- *     workload knobs:
- *       barnes:   [--bodies=N] [--steps=N] [--theta=X]
- *       mp3d:     [--particles=N] [--steps=N]
- *       cholesky: [--grid-rows=N] [--grid-cols=N]
- *       multiprog:[--refs=N] [--quantum=N]
- *       tmkmeans: [--points=N] [--centroids=N] [--rounds=N]
- *       tmvacation: [--resources=N] [--capacity=N] [--txns=N]
- *                 [--query-range=N]
- *       secpp:    [--sec-epochs=N] [--sec-symbols=N]
- *       fuzz:     [--seed=N] [--fuzz-steps=N] [--hot-lines=N]
- *                 [--private-lines=N] [--write-frac=X]
- *                 [--shared-frac=X] [--false-share-frac=X]
- *                 [--fence-frac=X] [--txn-frac=X] [--txn-len=N]
+ *
+ * Machine flags (--procs=N, --scc=SIZE, --net=tree, --check, ...)
+ * come from the configuration schema (src/core/config_schema.cc):
+ * `scmp_sim --list` prints every one with its values and default.
+ * Each workload's own knobs (barnes: --bodies=N --steps=N
+ * --theta=X, fuzz: --seed=N ...) are in the `workloads` table below.
  *
  * --check attaches the coherence checker (src/check): a golden
  * functional memory verifies every load, and tag-array invariant
@@ -60,13 +41,15 @@
  *   scmp_sim fuzz --check --seed=7 --procs=4 --protocol=update
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
-#include <map>
 #include <set>
+#include <vector>
 
 #include "check/checker.hh"
 #include "check/traffic.hh"
+#include "core/config_schema.hh"
 #include "core/parallel_run.hh"
 #include "multiprog/scheduler.hh"
 #include "sim/config.hh"
@@ -86,114 +69,8 @@ MachineConfig
 machineFromFlags(const Config &config)
 {
     MachineConfig machine;
-    machine.numClusters = (int)config.getInt("clusters", 4);
-    machine.cpusPerCluster = (int)config.getInt("procs", 2);
-    machine.scc.sizeBytes = config.getSize("scc", 64 << 10);
-    machine.scc.lineBytes =
-        (std::uint32_t)config.getSize("line", 16);
-    machine.scc.assoc = (std::uint32_t)config.getInt("assoc", 1);
-    machine.scc.banksPerCpu =
-        (std::uint32_t)config.getInt("banks", 4);
-    machine.bus.transferOccupancy =
-        (Cycle)config.getInt("bus-occupancy", 1);
-    machine.icache.enabled = config.getBool("icache", false);
-
-    std::string organization =
-        config.getString("organization", "shared");
-    if (organization == "private") {
-        machine.organization =
-            ClusterOrganization::PrivateCaches;
-    } else if (organization != "shared") {
-        fatal("--organization must be 'shared' or 'private'");
-    }
-
-    std::string protocol =
-        config.getString("protocol", "invalidate");
-    if (protocol == "update") {
-        machine.scc.protocol = CoherenceProtocol::WriteUpdate;
-    } else if (protocol != "invalidate") {
-        fatal("--protocol must be 'invalidate' or 'update'");
-    }
-
-    // Interconnect topology (src/net). The default is the paper's
-    // atomic snoopy bus; --segments and --arbitration refine the
-    // tree and split fabrics respectively.
-    std::string net = config.getString("net", "atomic");
-    if (!parseNetTopology(net, &machine.net.topology)) {
-        fatal("--net must be 'atomic', 'split' or 'tree' (got '",
-              net, "'); see --list");
-    }
-    machine.net.segments = (int)config.getInt("segments", 2);
-    std::string arbitration =
-        config.getString("arbitration", "rr");
-    if (!parseNetArbitration(arbitration,
-                             &machine.net.arbitration)) {
-        fatal("--arbitration must be 'rr' or 'priority' (got '",
-              arbitration, "')");
-    }
-    machine.net.snoopFilterCapacity =
-        (std::uint64_t)config.getInt("sf-cap", 0);
-
-    // Memory backend (src/dram). The default is the paper's flat
-    // fixed-latency memory; --mem=banked enables the channels x
-    // banks open-row model. --mem-banks names the DRAM banks axis
-    // (--banks is already the SCC banks-per-processor knob).
-    std::string mem = config.getString("mem", "flat");
-    if (!parseMemBackend(mem, &machine.dram.kind)) {
-        fatal("--mem must be 'flat' or 'banked' (got '", mem,
-              "'); see --list");
-    }
-    machine.dram.channels = (int)config.getInt("channels", 2);
-    machine.dram.banks = (int)config.getInt("mem-banks", 4);
-    std::string memSched = config.getString("mem-sched", "fcfs");
-    if (!parseMemSched(memSched, &machine.dram.sched)) {
-        fatal("--mem-sched must be 'fcfs' or 'frfcfs' (got '",
-              memSched, "')");
-    }
-
-    // Consistency model (src/mem/store_buffer). The default is
-    // sequential consistency — the paper's processor model and the
-    // contract the golden fixtures pin; --consistency=weak buffers
-    // stores per processor with fences at the ANL sync points.
-    std::string consistency =
-        config.getString("consistency", "sc");
-    if (!parseConsistency(consistency,
-                          &machine.consistency.model)) {
-        fatal("--consistency must be 'sc' or 'weak' (got '",
-              consistency, "'); see --list");
-    }
-    machine.consistency.storeBufferEntries =
-        (int)config.getInt("sb-entries", 8);
-
-    // Transactional memory (src/tm). The default is off — plain
-    // locks, the baseline the TM figures measure speedup against;
-    // --tm={eager,lazy} selects the conflict manager.
-    std::string tm = config.getString("tm", "off");
-    if (!parseTmMode(tm, &machine.tm.mode)) {
-        fatal("--tm must be 'off', 'eager' or 'lazy' (got '", tm,
-              "'); see --list");
-    }
-    machine.tm.setEntries =
-        (int)config.getInt("tm-set-entries", machine.tm.setEntries);
-    machine.tm.maxAborts =
-        (int)config.getInt("tm-max-aborts", machine.tm.maxAborts);
-
-    // Cache isolation (src/sec). The default is none — the open
-    // shared cache every other figure measures, bit-identical to
-    // pre-src/sec builds; --isolation={waypart,color,rand} arms a
-    // mitigation that partitions the SCC between security domains
-    // (processor p belongs to domain p % --isolation-domains).
-    std::string isolation = config.getString("isolation", "none");
-    if (!parseIsolationMode(isolation, &machine.scc.sec.mode)) {
-        fatal("--isolation must be 'none', 'waypart', 'color' or "
-              "'rand' (got '", isolation, "'); see --list");
-    }
-    machine.scc.sec.domains = (int)config.getInt(
-        "isolation-domains", machine.scc.sec.domains);
-    machine.scc.sec.rekeyFills = (std::uint64_t)config.getInt(
-        "rekey-fills", (long long)machine.scc.sec.rekeyFills);
-
-    machine.checkCoherence = config.getBool("check", false);
+    machine.cpusPerCluster = 2;
+    applyFlags(config, machine);
 
     // Observability (src/obs). A bare --obs picks a default trace
     // file name; --obs=FILE names it. --obs-series implies
@@ -224,45 +101,38 @@ machineFromFlags(const Config &config)
     return machine;
 }
 
-/** Flags the machine model / driver itself understands. */
-const std::set<std::string> &
-commonFlags()
+/** One workload: --list description and the flags it reads. */
+struct WorkloadInfo
 {
-    static const std::set<std::string> flags = {
-        "clusters", "procs", "scc", "line", "assoc", "banks",
-        "organization", "protocol", "bus-occupancy", "net",
-        "segments", "arbitration", "sf-cap",
-        "mem", "channels", "mem-banks", "mem-sched",
-        "consistency", "sb-entries",
-        "tm", "tm-set-entries", "tm-max-aborts",
-        "isolation", "isolation-domains", "rekey-fills", "icache",
-        "check", "stats", "csv", "obs", "obs-interval",
-        "obs-series", "obs-sec-sets", "list",
-    };
-    return flags;
-}
+    const char *name;
+    const char *help;
+    std::set<std::string> flags;
+};
 
-/** Per-workload flags (also the --list workload catalogue). */
-const std::map<std::string, std::set<std::string>> &
-workloadFlags()
-{
-    static const std::map<std::string, std::set<std::string>>
-        flags = {
-            {"barnes", {"bodies", "steps", "theta"}},
-            {"mp3d", {"particles", "steps"}},
-            {"cholesky", {"grid-rows", "grid-cols"}},
-            {"multiprog", {"refs", "quantum"}},
-            {"tmkmeans", {"points", "centroids", "rounds"}},
-            {"tmvacation",
-             {"resources", "capacity", "txns", "query-range"}},
-            {"secpp", {"sec-epochs", "sec-symbols"}},
-            {"fuzz",
-             {"seed", "fuzz-steps", "hot-lines", "private-lines",
-              "write-frac", "shared-frac", "false-share-frac",
-              "fence-frac", "txn-frac", "txn-len"}},
-        };
-    return flags;
-}
+/** The workload catalogue, in --list order. */
+const std::vector<WorkloadInfo> workloads = {
+    {"barnes", "SPLASH Barnes-Hut N-body (octree gravity)",
+     {"bodies", "steps", "theta"}},
+    {"mp3d", "SPLASH MP3D rarefied-flow particle simulation",
+     {"particles", "steps"}},
+    {"cholesky", "SPLASH sparse Cholesky factorization",
+     {"grid-rows", "grid-cols"}},
+    {"multiprog",
+     "multiprogrammed SPEC-like apps, round-robin scheduled",
+     {"refs", "quantum"}},
+    {"tmkmeans",
+     "STAMP-kmeans-like clustering, transactional accumulators",
+     {"points", "centroids", "rounds"}},
+    {"tmvacation",
+     "STAMP-vacation-like reservations, all-or-nothing bookings",
+     {"resources", "capacity", "txns", "query-range"}},
+    {"secpp", "prime+probe spy/victim pair, reports leakage bits/epoch",
+     {"sec-epochs", "sec-symbols"}},
+    {"fuzz", "randomized coherence traffic (pairs with --check)",
+     {"seed", "fuzz-steps", "hot-lines", "private-lines", "write-frac",
+      "shared-frac", "false-share-frac", "fence-frac", "txn-frac",
+      "txn-len"}},
+};
 
 void
 printUsage(std::FILE *out)
@@ -271,87 +141,54 @@ printUsage(std::FILE *out)
                  "usage: scmp_sim <barnes|mp3d|cholesky|multiprog"
                  "|fuzz|tmkmeans|tmvacation|secpp> [flags]\n"
                  "       scmp_sim --list\n"
-                 "see the file header for the flag list\n");
+                 "run scmp_sim --list for the machine flags\n");
 }
 
+/** --list; @p defaults is the machine flags' starting point. */
 int
-printList()
+printList(const MachineConfig &defaults)
 {
     std::printf("workloads:\n");
-    std::printf("  barnes     SPLASH Barnes-Hut N-body "
-                "(octree gravity)\n");
-    std::printf("  mp3d       SPLASH MP3D rarefied-flow "
-                "particle simulation\n");
-    std::printf("  cholesky   SPLASH sparse Cholesky "
-                "factorization\n");
-    std::printf("  multiprog  multiprogrammed SPEC-like apps, "
-                "round-robin scheduled\n");
-    std::printf("  tmkmeans   STAMP-kmeans-like clustering, "
-                "transactional accumulators\n");
-    std::printf("  tmvacation STAMP-vacation-like reservations, "
-                "all-or-nothing bookings\n");
-    std::printf("  secpp      prime+probe spy/victim pair, "
-                "reports leakage bits/epoch\n");
-    std::printf("  fuzz       randomized coherence traffic "
-                "(pairs with --check)\n");
-    std::printf("protocols:\n");
-    std::printf("  invalidate MSI write-invalidate (default)\n");
-    std::printf("  update     Firefly-style write-update\n");
-    std::printf("organizations:\n");
-    std::printf("  shared     one SCC per cluster (the paper's "
-                "proposal, default)\n");
-    std::printf("  private    one cache per processor, all "
-                "snooping the bus\n");
-    std::printf("interconnects (--net):\n");
-    std::printf("  atomic     single atomic snoopy bus (the "
-                "paper's, default)\n");
-    std::printf("  split      split-transaction bus "
-                "(--arbitration=rr|priority)\n");
-    std::printf("  tree       leaf bus segments + root bus with "
-                "snoop filter (--segments=N,\n"
-                "             bound it with --sf-cap=N: LRU "
-                "eviction + back-invalidation)\n");
-    std::printf("memory backends (--mem):\n");
-    std::printf("  flat       fixed-latency memory (the paper's, "
-                "default)\n");
-    std::printf("  banked     channels x banks open-row DRAM "
-                "(--channels=N --mem-banks=N\n"
-                "             --mem-sched=fcfs|frfcfs; NUMA "
-                "segments under --net=tree)\n");
-    std::printf("consistency models (--consistency):\n");
-    std::printf("  sc         sequential consistency: every store "
-                "stalls (the paper's, default)\n");
-    std::printf("  weak       weak ordering: per-CPU store buffers "
-                "(--sb-entries=N), fences at\n"
-                "             the ANL lock/unlock/barrier points\n");
-    std::printf("transactional memory (--tm):\n");
-    std::printf("  off        plain locks — the baseline TM "
-                "speedups divide by (default)\n");
-    std::printf("  eager      LogTM-style: conflicts detected at "
-                "access time, requester\n"
-                "             aborts on an older conflictor "
-                "(timestamp tiebreak)\n");
-    std::printf("  lazy       TSX-style: conflicts detected at "
-                "commit, committer wins\n");
-    std::printf("             (--tm-set-entries=N bounds each "
-                "read/write set — capacity\n"
-                "             aborts past it; --tm-max-aborts=N "
-                "retries before the\n"
-                "             fallback lock)\n");
-    std::printf("isolation modes (--isolation):\n");
-    std::printf("  none       open shared cache — every line "
-                "contends everywhere (default)\n");
-    std::printf("  waypart    way partitioning: each domain fills "
-                "only its own ways per set\n");
-    std::printf("  color      set coloring: the index space is "
-                "carved into per-domain regions\n");
-    std::printf("  rand       randomized indexing: per-domain "
-                "keyed index hash, rekeyed and\n"
-                "             flushed every --rekey-fills=N fills\n");
-    std::printf("             (domains = --isolation-domains=N; "
-                "processor p is in domain\n"
-                "             p %% N; requires "
-                "--organization=shared)\n");
+    for (const WorkloadInfo &workload : workloads)
+        std::printf("  %-10s %s\n", workload.name, workload.help);
+    // Each enum flag's spellings, then every machine flag; both
+    // come from the configuration schema.
+    static const std::pair<const char *, const char *> sections[] = {
+        {"protocol", "protocols"},
+        {"organization", "organizations"},
+        {"net", "interconnects (--net)"},
+        {"mem", "memory backends (--mem)"},
+        {"consistency", "consistency models (--consistency)"},
+        {"tm", "transactional memory (--tm)"},
+        {"isolation", "isolation modes (--isolation)"},
+    };
+    for (auto [flag, header] : sections) {
+        std::printf("%s:\n", header);
+        const ConfigField *field = findField(&ConfigField::flag, flag);
+        for (const Spelling &s : field->spellings) {
+            if (s.alias)
+                continue;
+            std::string help = s.help;
+            for (auto at = help.find('\n'); at != help.npos;
+                 at = help.find('\n', at + 1))
+                help.insert(at + 1, 13, ' ');
+            std::printf("  %-10s %s\n", s.name, help.c_str());
+        }
+    }
+    std::printf("machine flags (default, MachineConfig field):\n");
+    for (const ConfigField &field : configSchema()) {
+        std::string form = field.kind == FieldKind::Bool ? "0|1"
+                           : field.bytes                    ? "SIZE"
+                                                            : "N";
+        for (const Spelling &s : field.spellings) {
+            if (!s.alias)
+                form = (s.value ? form + "|" : "") + s.name;
+        }
+        if (field.flag)
+            std::printf("  --%-34s %-10s %s\n",
+                        (field.flag + ("=" + form)).c_str(),
+                        fieldText(field, defaults).c_str(), field.name);
+    }
     return 0;
 }
 
@@ -484,15 +321,16 @@ main(int argc, char **argv)
     Config config;
     auto positional = config.parseArgs(argc, argv);
     if (config.getBool("list", false))
-        return printList();
+        return printList(machineFromFlags(Config{}));
     if (positional.empty()) {
         printUsage(stderr);
         return 2;
     }
     std::string which = positional[0];
 
-    const auto &workloads = workloadFlags();
-    auto knownWorkload = workloads.find(which);
+    auto knownWorkload = std::find_if(
+        workloads.begin(), workloads.end(),
+        [&](const WorkloadInfo &w) { return which == w.name; });
     if (knownWorkload == workloads.end()) {
         std::fprintf(stderr, "scmp_sim: unknown workload '%s'\n",
                      which.c_str());
@@ -504,8 +342,11 @@ main(int argc, char **argv)
     // workload understands — a typo silently ignored is a sweep
     // quietly running the wrong configuration.
     for (const auto &[key, value] : config.entries()) {
-        if (commonFlags().count(key) ||
-            knownWorkload->second.count(key))
+        static const std::set<std::string> ownFlags = {
+            "stats", "csv", "obs", "obs-interval", "obs-series",
+            "obs-sec-sets", "list"};
+        if (findField(&ConfigField::flag, key) ||
+            ownFlags.count(key) || knownWorkload->flags.count(key))
             continue;
         std::fprintf(stderr, "scmp_sim: unknown flag '--%s'\n",
                      key.c_str());

@@ -6,68 +6,6 @@
 namespace scmp
 {
 
-void
-MachineConfig::check() const
-{
-    fatal_if(numClusters <= 0, "need at least one cluster");
-    fatal_if(cpusPerCluster <= 0,
-             "need at least one processor per cluster");
-    fatal_if(!isPowerOf2(scc.sizeBytes), "SCC size must be 2^n");
-    fatal_if(scc.lineBytes == 0 || !isPowerOf2(scc.lineBytes),
-             "SCC line size must be a power of two");
-    fatal_if(arenaBytes == 0, "arena must be non-empty");
-    if (consistency.model == ConsistencyModel::Weak) {
-        fatal_if(consistency.storeBufferEntries <= 0,
-                 "--sb-entries must be at least one");
-    }
-    if (tm.mode != TmMode::Off) {
-        fatal_if(tm.setEntries <= 0,
-                 "--tm-set-entries must be at least one");
-        fatal_if(tm.maxAborts <= 0,
-                 "--tm-max-aborts must be at least one");
-        fatal_if(consistency.model != ConsistencyModel::Sc,
-                 "--tm requires sequential consistency: commit "
-                 "publication provides its own ordering and does "
-                 "not compose with per-CPU store buffers");
-    }
-    if (scc.sec.mode != IsolationMode::None) {
-        fatal_if(organization != ClusterOrganization::SharedCache,
-                 "--isolation partitions the shared cluster cache; "
-                 "private-cache organizations have no cross-domain "
-                 "channel to close");
-        fatal_if(scc.sec.domains < 2,
-                 "--isolation-domains must be at least two");
-        std::uint64_t sets =
-            scc.sizeBytes / scc.lineBytes / scc.assoc;
-        if (scc.sec.mode == IsolationMode::WayPart) {
-            fatal_if(scc.assoc % (std::uint32_t)scc.sec.domains !=
-                         0,
-                     "--isolation=waypart needs --assoc (",
-                     scc.assoc, ") divisible by "
-                     "--isolation-domains (", scc.sec.domains, ")");
-        }
-        if (scc.sec.mode == IsolationMode::Color) {
-            fatal_if(!isPowerOf2((std::uint64_t)scc.sec.domains) ||
-                         (std::uint64_t)scc.sec.domains > sets,
-                     "--isolation=color needs a power-of-two "
-                     "--isolation-domains dividing the SCC's ",
-                     sets, " sets");
-        }
-    }
-    fatal_if(net.segments <= 0,
-             "--segments must be at least one");
-    if (dram.kind == MemBackendKind::Banked) {
-        fatal_if(dram.channels <= 0,
-                 "--channels must be at least one");
-        fatal_if(dram.banks <= 0,
-                 "--mem-banks must be at least one");
-        fatal_if(!isPowerOf2(dram.rowBytes),
-                 "DRAM row size must be a power of two");
-        fatal_if(dram.rowBytes < scc.lineBytes,
-                 "DRAM rows must cover at least one cache line");
-    }
-}
-
 Machine::Machine(const MachineConfig &config)
     : _config(config), _root("system")
 {

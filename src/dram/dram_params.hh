@@ -8,14 +8,13 @@
  * row-buffer state and per-channel scheduling. DramParams carries
  * the banked model's geometry and timing; with the flat backend it
  * is inert, which is why the sweep point key only hashes it off the
- * default (see sweep/point_key.cc).
+ * default (see core/config_schema.cc).
  */
 
 #ifndef SCMP_DRAM_DRAM_PARAMS_HH
 #define SCMP_DRAM_DRAM_PARAMS_HH
 
 #include <cstdint>
-#include <string>
 
 #include "sim/types.hh"
 
@@ -86,16 +85,6 @@ struct DramParams
 
     DramTiming timing;
 };
-
-/// @name Names and parsers for the CLI/design-space axes.
-/// @{
-const char *memBackendName(MemBackendKind kind);
-const char *memSchedName(MemSched sched);
-/** Parse "flat" / "banked"; false on unknown names. */
-bool parseMemBackend(const std::string &text, MemBackendKind *out);
-/** Parse "fcfs" / "frfcfs"; false on unknown names. */
-bool parseMemSched(const std::string &text, MemSched *out);
-/// @}
 
 } // namespace scmp
 

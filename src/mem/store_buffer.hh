@@ -45,7 +45,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
 
 #include "mem/coherence_observer.hh"
 #include "sim/stats.hh"
@@ -73,14 +72,6 @@ struct ConsistencyParams
     /** Weak only: store-buffer entries per processor. */
     int storeBufferEntries = 8;
 };
-
-/// @name Names and parsers for the CLI/design-space axis.
-/// @{
-const char *consistencyName(ConsistencyModel model);
-/** Parse "sc" / "weak"; false on unknown names. */
-bool parseConsistency(const std::string &text,
-                      ConsistencyModel *out);
-/// @}
 
 /** Machine-wide store-buffer statistics (shared by all buffers). */
 struct StoreBufferStats

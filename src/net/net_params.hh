@@ -11,7 +11,6 @@
 #define SCMP_NET_NET_PARAMS_HH
 
 #include <cstdint>
-#include <string>
 
 #include "sim/types.hh"
 
@@ -94,17 +93,6 @@ struct NetParams
      */
     std::uint64_t snoopFilterCapacity = 0;
 };
-
-/// @name Names and parsers for the CLI/design-space axis.
-/// @{
-const char *netTopologyName(NetTopology topology);
-const char *netArbitrationName(NetArbitration arbitration);
-/** Parse "atomic" / "split" / "tree"; false on unknown names. */
-bool parseNetTopology(const std::string &text, NetTopology *out);
-/** Parse "rr" / "priority"; false on unknown names. */
-bool parseNetArbitration(const std::string &text,
-                         NetArbitration *out);
-/// @}
 
 } // namespace scmp
 

@@ -30,7 +30,6 @@
 #define SCMP_SEC_SEC_PARAMS_HH
 
 #include <cstdint>
-#include <string>
 
 namespace scmp
 {
@@ -63,12 +62,6 @@ struct SecParams
     /** Rand only: base key the per-domain/per-epoch keys derive from. */
     std::uint64_t key = 0x5ecc0ffee1234567ull;
 };
-
-/** CLI name of a mode ("none", "waypart", "color", "rand"). */
-const char *isolationModeName(IsolationMode mode);
-
-/** Parse a CLI mode name. @return false on unknown text. */
-bool parseIsolationMode(const std::string &text, IsolationMode *out);
 
 } // namespace scmp
 

@@ -8,9 +8,9 @@
  * raw struct bytes), so it is stable across compilers, padding
  * layouts and repository versions as long as the configuration
  * itself is unchanged — the property resume correctness rests on.
- * Any new MachineConfig field MUST be added to hashMachineConfig,
- * otherwise two genuinely different configurations could collide
- * on the same key and resume would serve the wrong result.
+ * The fields and their order come from the configuration schema
+ * (core/config_schema.hh), which fails to compile when a
+ * MachineConfig field has no entry.
  */
 
 #ifndef SCMP_SWEEP_POINT_KEY_HH

@@ -2,10 +2,10 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <limits>
 #include <type_traits>
 
+#include "core/config_schema.hh"
 #include "sim/logging.hh"
 #include "sweep/json.hh"
 #include "sweep/point_key.hh"
@@ -18,25 +18,6 @@ namespace
 
 /** Schema version; bump when the record layout changes. */
 constexpr std::uint64_t storeVersion = 1;
-
-/**
- * Every study axis a record may carry, in the order the studies
- * write them (so deserialize() rebuilds each study's list in its own
- * order). Counts are written as JSON integers, the rest as strings.
- */
-struct AxisField
-{
-    const char *name;
-    bool count;
-};
-constexpr AxisField axisFields[] = {
-    {"clusters", true},     {"net", false},
-    {"mem", false},         {"channels", true},
-    {"banks", true},        {"memSched", false},
-    {"consistency", false}, {"tm", false},
-    {"tmEntries", true},    {"isolation", false},
-    {"isolationDomains", true},
-};
 
 /**
  * The RunResult metrics a record carries, in record order. Exactly
@@ -220,13 +201,12 @@ ResultStore::serializeAxes(const AxisTags &axes)
 {
     std::string out;
     for (const AxisTag &axis : axes) {
-        const AxisField *field = std::find_if(
-            std::begin(axisFields), std::end(axisFields),
-            [&](const AxisField &f) { return axis.name == f.name; });
-        panic_if(field == std::end(axisFields), "unknown axis '",
-                 axis.name, "'");
+        const ConfigField *field =
+            findField(&ConfigField::axis, axis.name);
+        panic_if(!field, "unknown axis '", axis.name, "'");
         out += ",\"" + axis.name + "\":" +
-               (field->count ? axis.value : jsonQuote(axis.value));
+               (field->kind == FieldKind::Enum ? jsonQuote(axis.value)
+                                               : axis.value);
     }
     return out;
 }
@@ -268,16 +248,18 @@ ResultStore::deserialize(const std::string &line, StoredPoint &point,
         !record.read("jobs", point.jobs, false) ||
         !record.read("wallMs", point.wallMs))
         return false;
-    for (const AxisField &field : axisFields) {
-        if (!doc.find(field.name))
+    // Axis columns follow the schema's order, so each study's list
+    // comes back in the order it was written.
+    for (const ConfigField &field : configSchema()) {
+        if (!field.axis || !doc.find(field.axis))
             continue;
-        AxisTag axis{field.name, ""};
-        if (field.count) {
+        AxisTag axis{field.axis, ""};
+        if (field.kind != FieldKind::Enum) {
             int value = 0;
-            if (!record.read(field.name, value))
+            if (!record.read(field.axis, value))
                 return false;
             axis.value = std::to_string(value);
-        } else if (!record.read(field.name, axis.value)) {
+        } else if (!record.read(field.axis, axis.value)) {
             return false;
         }
         point.axes.push_back(std::move(axis));

@@ -35,8 +35,8 @@ namespace scmp::sweep
 /**
  * One named axis value that sets a study's point apart from its
  * neighbours ("net" = "split", "tmEntries" = "64"). The name must be
- * one of the record keys in result_store.cc's axis table, which also
- * says whether the value is written as a JSON count or string.
+ * a configuration-schema axis tag (core/config_schema.hh): enum
+ * fields are written as JSON strings, the rest as counts.
  */
 struct AxisTag
 {

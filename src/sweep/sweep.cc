@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <deque>
 #include <mutex>
@@ -9,6 +10,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/config_schema.hh"
 #include "model/analytic.hh"
 #include "model/profile_run.hh"
 #include "sim/logging.hh"
@@ -127,6 +129,20 @@ sweepModelName(SweepModel model)
     return "?";
 }
 
+int
+parseJobs(std::string_view text)
+{
+    if (text == "auto")
+        return 0;
+    int jobs = -1;
+    const char *end = text.data() + text.size();
+    auto parsed = std::from_chars(text.data(), end, jobs);
+    fatal_if(parsed.ec != std::errc() || parsed.ptr != end || jobs < 0,
+             "--jobs must be 'auto' or a non-negative count (got '",
+             std::string(text), "')");
+    return jobs;
+}
+
 void
 setDefaultSweepOptions(const SweepOptions &options)
 {
@@ -142,14 +158,23 @@ defaultSweepOptions()
 namespace
 {
 
-/** Append a copy of the list's base with @p axes; return it. */
+/** Append a copy of the list's base; return it. */
 MachineConfig &
-addPoint(PointList &list, AxisTags axes = {})
+addPoint(PointList &list)
 {
-    SweepPoint &point = list.points.emplace_back();
-    point.config = list.base;
-    point.axes = std::move(axes);
-    return point.config;
+    list.points.push_back({list.base, {}, {}});
+    return list.points.back().config;
+}
+
+/** Tag the last point with the named schema axes' values. */
+void
+tag(PointList &list, std::initializer_list<const char *> axes)
+{
+    SweepPoint &point = list.points.back();
+    for (const char *axis : axes) {
+        const ConfigField *field = findField(&ConfigField::axis, axis);
+        point.axes.push_back({axis, fieldText(*field, point.config)});
+    }
 }
 
 } // namespace
@@ -178,11 +203,10 @@ netPoints(const MachineConfig &base,
     PointList list{base, {}};
     for (NetTopology topology : topologies) {
         for (int clusters : clusterCounts) {
-            MachineConfig &config = addPoint(
-                list, {{"clusters", std::to_string(clusters)},
-                       {"net", netTopologyName(topology)}});
+            MachineConfig &config = addPoint(list);
             config.numClusters = clusters;
             config.net.topology = topology;
+            tag(list, {"clusters", "net"});
         }
     }
     return list;
@@ -198,16 +222,12 @@ memPoints(const MachineConfig &base,
     for (MemSched sched : scheds) {
         for (int channels : channelCounts) {
             for (int banks : bankCounts) {
-                AxisTags axes{
-                    {"mem", memBackendName(MemBackendKind::Banked)},
-                    {"channels", std::to_string(channels)},
-                    {"banks", std::to_string(banks)},
-                    {"memSched", memSchedName(sched)}};
-                DramParams &dram = addPoint(list, axes).dram;
+                DramParams &dram = addPoint(list).dram;
                 dram.kind = MemBackendKind::Banked;
                 dram.channels = channels;
                 dram.banks = banks;
                 dram.sched = sched;
+                tag(list, {"mem", "channels", "banks", "memSched"});
             }
         }
     }
@@ -226,12 +246,11 @@ consistencyPoints(const MachineConfig &base,
             for (std::size_t a = 0; a < arbitrations.size(); ++a) {
                 if (topology != NetTopology::Split && a > 0)
                     break;
-                MachineConfig &config = addPoint(
-                    list, {{"net", netTopologyName(topology)},
-                           {"consistency", consistencyName(model)}});
+                MachineConfig &config = addPoint(list);
                 config.consistency.model = model;
                 config.net.topology = topology;
                 config.net.arbitration = arbitrations[a];
+                tag(list, {"net", "consistency"});
             }
         }
     }
@@ -249,15 +268,13 @@ tmPoints(const MachineConfig &base, const std::vector<TmMode> &modes,
             for (std::size_t s = 0; s < setSizes.size(); ++s) {
                 if (mode == TmMode::Off && s > 0)
                     break;
-                AxisTags axes{{"net", netTopologyName(topology)},
-                              {"tm", tmModeName(mode)}};
-                if (mode != TmMode::Off)
-                    axes.push_back(
-                        {"tmEntries", std::to_string(setSizes[s])});
-                MachineConfig &config = addPoint(list, axes);
+                MachineConfig &config = addPoint(list);
                 config.tm.mode = mode;
                 config.tm.setEntries = setSizes[s];
                 config.net.topology = topology;
+                tag(list, {"net", "tm"});
+                if (mode != TmMode::Off)
+                    tag(list, {"tmEntries"});
             }
         }
     }
@@ -274,13 +291,12 @@ isolationPoints(const MachineConfig &base,
         for (std::size_t d = 0; d < domainCounts.size(); ++d) {
             if (mode == IsolationMode::None && d > 0)
                 break;
-            AxisTags axes{{"isolation", isolationModeName(mode)}};
-            if (mode != IsolationMode::None)
-                axes.push_back({"isolationDomains",
-                                std::to_string(domainCounts[d])});
-            SecParams &sec = addPoint(list, axes).scc.sec;
+            SecParams &sec = addPoint(list).scc.sec;
             sec.mode = mode;
             sec.domains = domainCounts[d];
+            tag(list, {"isolation"});
+            if (mode != IsolationMode::None)
+                tag(list, {"isolationDomains"});
         }
     }
     return list;

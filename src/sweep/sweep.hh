@@ -63,6 +63,12 @@ SweepModel parseSweepModel(std::string_view text);
 /** The canonical lowercase name of @p model. */
 const char *sweepModelName(SweepModel model);
 
+/**
+ * Parse --jobs: "auto" (0, one worker per hardware thread) or a
+ * non-negative count; fatal on anything else.
+ */
+int parseJobs(std::string_view text);
+
 /** Execution knobs for one sweep (--jobs/--results/--resume). */
 struct SweepOptions
 {

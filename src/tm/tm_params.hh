@@ -13,7 +13,6 @@
 #define SCMP_TM_TM_PARAMS_HH
 
 #include <cstdint>
-#include <string>
 
 #include "sim/types.hh"
 
@@ -60,13 +59,6 @@ struct TmParams
     /** Fixed cost of an abort (restore checkpoint, drop lines). */
     Cycle abortCost = 16;
 };
-
-/// @name Names and parsers for the CLI/design-space axis.
-/// @{
-const char *tmModeName(TmMode mode);
-/** Parse "off" / "eager" / "lazy"; false on unknown names. */
-bool parseTmMode(const std::string &text, TmMode *out);
-/// @}
 
 } // namespace scmp
 

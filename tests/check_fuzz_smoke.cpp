@@ -45,6 +45,7 @@
 
 #include "check/checker.hh"
 #include "check/traffic.hh"
+#include "core/config_schema.hh"
 #include "core/machine.hh"
 #include "net/tree.hh"
 #include "sim/logging.hh"
@@ -109,7 +110,7 @@ main()
                                 stderr,
                                 "FAIL: no checks performed "
                                 "(net %s seed %llu procs %d)\n",
-                                netTopologyName(topology),
+                                enumName(topology),
                                 (unsigned long long)seed, p);
                             return 1;
                         }
@@ -121,7 +122,7 @@ main()
             }
         }
         std::printf("fuzz smoke [%s]: %d runs clean\n",
-                    netTopologyName(topology), topologyRuns);
+                    enumName(topology), topologyRuns);
     }
 
     // Banked-DRAM pass: queued fills on every fabric; on the tree,
@@ -163,7 +164,7 @@ main()
                             stderr,
                             "FAIL: no checks performed "
                             "(banked net %s seed %llu procs %d)\n",
-                            netTopologyName(topology),
+                            enumName(topology),
                             (unsigned long long)seed, p);
                         return 1;
                     }
@@ -195,7 +196,7 @@ main()
             }
         }
         std::printf("fuzz smoke [%s banked]: %d runs clean\n",
-                    netTopologyName(topology), topologyRuns);
+                    enumName(topology), topologyRuns);
     }
 
     // Weak-ordering pass: tiny store buffers so full-buffer drains
@@ -241,7 +242,7 @@ main()
                             "FAIL: weak run exercised no "
                             "relaxation (net %s seed %llu "
                             "procs %d)\n",
-                            netTopologyName(topology),
+                            enumName(topology),
                             (unsigned long long)seed, p);
                         return 1;
                     }
@@ -253,7 +254,7 @@ main()
                                 "FAIL: stores left undrained at "
                                 "end of run (net %s seed %llu "
                                 "cpu %d)\n",
-                                netTopologyName(topology),
+                                enumName(topology),
                                 (unsigned long long)seed, cpu);
                             return 1;
                         }
@@ -265,7 +266,7 @@ main()
             }
         }
         std::printf("fuzz smoke [%s weak]: %d runs clean\n",
-                    netTopologyName(topology), topologyRuns);
+                    enumName(topology), topologyRuns);
     }
 
     // TM pass: both conflict managers at a set size small enough
@@ -323,8 +324,8 @@ main()
                                 "FAIL: tm run exercised no "
                                 "speculation (%s net %s seed %llu "
                                 "procs %d)\n",
-                                tmModeName(mode),
-                                netTopologyName(topology),
+                                enumName(mode),
+                                enumName(topology),
                                 (unsigned long long)seed, p);
                             return 1;
                         }
@@ -336,7 +337,7 @@ main()
             }
         }
         std::printf("fuzz smoke [%s tm]: %d runs clean\n",
-                    netTopologyName(topology), topologyRuns);
+                    enumName(topology), topologyRuns);
     }
 
     // Isolation pass: every mitigation over every fabric and
@@ -389,8 +390,8 @@ main()
                                 "FAIL: isolated run walked no "
                                 "partition checks (%s net %s seed "
                                 "%llu procs %d)\n",
-                                isolationModeName(mode),
-                                netTopologyName(topology),
+                                enumName(mode),
+                                enumName(topology),
                                 (unsigned long long)seed, p);
                             return 1;
                         }
@@ -402,7 +403,7 @@ main()
             }
         }
         std::printf("fuzz smoke [%s isolation]: %d runs clean\n",
-                    netTopologyName(topology), topologyRuns);
+                    enumName(topology), topologyRuns);
     }
 
     std::printf("fuzz smoke: %d runs clean, %llu checks\n", runs,

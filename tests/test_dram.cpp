@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "core/config_schema.hh"
 #include "dram/banked_dram.hh"
 #include "dram/flat_memory.hh"
 #include "net/atomic_bus.hh"
@@ -56,18 +57,18 @@ TEST(MemoryBackendFactory, SelectsKind)
 TEST(MemBackendNames, ParseRoundTrip)
 {
     MemBackendKind kind;
-    EXPECT_TRUE(parseMemBackend("banked", &kind));
+    EXPECT_TRUE(parseEnum("banked", &kind));
     EXPECT_EQ(kind, MemBackendKind::Banked);
-    EXPECT_FALSE(parseMemBackend("rambus", &kind));
-    EXPECT_STREQ(memBackendName(MemBackendKind::Flat), "flat");
+    EXPECT_FALSE(parseEnum("rambus", &kind));
+    EXPECT_STREQ(enumName(MemBackendKind::Flat), "flat");
 
     MemSched sched;
-    EXPECT_TRUE(parseMemSched("frfcfs", &sched));
+    EXPECT_TRUE(parseEnum("frfcfs", &sched));
     EXPECT_EQ(sched, MemSched::FrFcfs);
-    EXPECT_TRUE(parseMemSched("fr-fcfs", &sched));
+    EXPECT_TRUE(parseEnum("fr-fcfs", &sched));
     EXPECT_EQ(sched, MemSched::FrFcfs);
-    EXPECT_FALSE(parseMemSched("lottery", &sched));
-    EXPECT_STREQ(memSchedName(MemSched::Fcfs), "fcfs");
+    EXPECT_FALSE(parseEnum("lottery", &sched));
+    EXPECT_STREQ(enumName(MemSched::Fcfs), "fcfs");
 }
 
 TEST(BankedDram, RowOutcomeTiming)

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "check/checker.hh"
+#include "core/config_schema.hh"
 #include "core/machine.hh"
 #include "net/interconnect.hh"
 #include "net/split_bus.hh"
@@ -495,14 +496,14 @@ TEST(Net, FactorySelectsTopology)
 TEST(Net, ParseNamesRoundTrip)
 {
     NetTopology topology;
-    EXPECT_TRUE(parseNetTopology("split", &topology));
+    EXPECT_TRUE(parseEnum("split", &topology));
     EXPECT_EQ(topology, NetTopology::Split);
-    EXPECT_FALSE(parseNetTopology("banyan", &topology));
+    EXPECT_FALSE(parseEnum("banyan", &topology));
 
     NetArbitration arbitration;
-    EXPECT_TRUE(parseNetArbitration("priority", &arbitration));
+    EXPECT_TRUE(parseEnum("priority", &arbitration));
     EXPECT_EQ(arbitration, NetArbitration::Priority);
-    EXPECT_FALSE(parseNetArbitration("lottery", &arbitration));
+    EXPECT_FALSE(parseEnum("lottery", &arbitration));
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include <set>
 
 #include "check/checker.hh"
+#include "core/config_schema.hh"
 #include "core/machine.hh"
 #include "core/parallel_run.hh"
 #include "mem/scc.hh"
@@ -46,12 +47,12 @@ TEST(SecParams, ParseRoundTrip)
     for (IsolationMode mode : modes) {
         IsolationMode parsed = IsolationMode::None;
         EXPECT_TRUE(
-            parseIsolationMode(isolationModeName(mode), &parsed));
+            parseEnum(enumName(mode), &parsed));
         EXPECT_EQ(parsed, mode);
     }
     IsolationMode parsed = IsolationMode::None;
-    EXPECT_FALSE(parseIsolationMode("flush", &parsed));
-    EXPECT_FALSE(parseIsolationMode("", &parsed));
+    EXPECT_FALSE(parseEnum("flush", &parsed));
+    EXPECT_FALSE(parseEnum("", &parsed));
 }
 
 // ---------------------------------------------------------------

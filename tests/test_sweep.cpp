@@ -10,9 +10,11 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 
+#include "core/config_schema.hh"
 #include "sweep/json.hh"
 #include "sweep/point_key.hh"
 #include "sweep/result_store.hh"
@@ -180,34 +182,141 @@ TEST(PointKey, StableAcrossEqualConfigs)
               sweep::pointKey(b, "barnes", "quick"));
 }
 
+/** Each value a perturbation moves @p field to from @p base. */
+std::vector<std::uint64_t>
+perturbedValues(const ConfigField &field, const MachineConfig &base)
+{
+    std::uint64_t now = field.get(base);
+    if (field.kind == FieldKind::Bool)
+        return {!now};
+    if (field.kind != FieldKind::Enum)
+        return {now + 1};
+    std::vector<std::uint64_t> values;
+    for (const Spelling &s : field.spellings) {
+        if (!s.alias && s.value != now)
+            values.push_back(s.value);
+    }
+    return values;
+}
+
+/**
+ * The default config with one enum field of @p field's struct
+ * switched so that perturbing @p field makes it live (net.segments
+ * is armed by net.topology=split), if @p field needs one.
+ */
+std::optional<MachineConfig>
+armedBase(const ConfigField &field)
+{
+    auto live = [&](MachineConfig config) {
+        field.set(config, perturbedValues(field, config)[0]);
+        return !field.live || field.live(config);
+    };
+    std::string_view name = field.name;
+    std::string_view group = name.substr(0, name.find('.') + 1);
+    if (live(MachineConfig{}) || group.empty())
+        return std::nullopt;
+    for (const ConfigField &gate : configSchema()) {
+        if (!std::string_view(gate.name).starts_with(group))
+            continue;
+        for (const Spelling &s : gate.spellings) {
+            MachineConfig base;
+            gate.set(base, s.value);
+            if (live(base))
+                return base;
+        }
+    }
+    return std::nullopt;
+}
+
+/**
+ * Every single-field perturbation of the default config, in schema
+ * order: enums take every other spelling, bools flip, numbers add
+ * one. A gated field is perturbed twice, from the default and from
+ * its armed base ("armed" in the label).
+ */
+template <class Fn>
+void
+forEachPerturbation(bool withObservational, Fn fn)
+{
+    for (const ConfigField &field : configSchema()) {
+        if (!field.get || (field.observational && !withObservational))
+            continue;
+        std::optional<MachineConfig> armed = armedBase(field);
+        for (bool arm : {false, true}) {
+            if (arm && !armed)
+                continue;
+            MachineConfig base = arm ? *armed : MachineConfig{};
+            for (std::uint64_t value : perturbedValues(field, base)) {
+                MachineConfig config = base;
+                field.set(config, value);
+                std::string label = std::string(field.name) + "=" +
+                                    fieldText(field, config) +
+                                    (arm ? " armed" : "");
+                fn(field, label, base, config);
+            }
+        }
+    }
+}
+
 TEST(PointKey, SensitiveToEveryAxis)
 {
+    // Every live, non-observational field moves the key; inert and
+    // observational ones never do.
+    std::set<std::string> moved;
+    forEachPerturbation(true, [&](const ConfigField &field,
+                                  const std::string &label,
+                                  const MachineConfig &base,
+                                  const MachineConfig &config) {
+        bool live = !field.live || field.live(base) ||
+                    field.live(config);
+        bool expected = live && !field.observational;
+        EXPECT_EQ(sweep::hashMachineConfig(config) !=
+                      sweep::hashMachineConfig(base),
+                  expected)
+            << label;
+        if (expected)
+            moved.insert(field.name);
+    });
+    for (const ConfigField &field : configSchema())
+        EXPECT_EQ(moved.count(field.name), !field.observational)
+            << field.name;
+
+    MachineConfig observed;
+    observed.obs.enabled = true;
+    observed.obs.tracePath = "trace.json";
+    EXPECT_EQ(sweep::hashMachineConfig(observed),
+              sweep::hashMachineConfig(MachineConfig{}));
+
     MachineConfig base;
     std::uint64_t baseKey =
         sweep::pointKey(base, "barnes", "quick");
-
-    MachineConfig other = base;
-    other.cpusPerCluster = 2;
-    EXPECT_NE(sweep::pointKey(other, "barnes", "quick"), baseKey);
-
-    other = base;
-    other.scc.sizeBytes *= 2;
-    EXPECT_NE(sweep::pointKey(other, "barnes", "quick"), baseKey);
-
-    other = base;
-    other.scc.protocol = CoherenceProtocol::WriteUpdate;
-    EXPECT_NE(sweep::pointKey(other, "barnes", "quick"), baseKey);
-
-    other = base;
-    other.bus.memoryLatency += 1;
-    EXPECT_NE(sweep::pointKey(other, "barnes", "quick"), baseKey);
-
-    other = base;
-    other.engine.slackWindow = 10;
-    EXPECT_NE(sweep::pointKey(other, "barnes", "quick"), baseKey);
-
     EXPECT_NE(sweep::pointKey(base, "mp3d", "quick"), baseKey);
     EXPECT_NE(sweep::pointKey(base, "barnes", "full"), baseKey);
+}
+
+TEST(PointKey, ConfigKeysMatchFixture)
+{
+    // The fixture was captured from the hand-written hash the
+    // schema walk replaced; a difference orphans stored records.
+    std::string got = "default " +
+                      sweep::keyHex(sweep::hashMachineConfig({})) +
+                      "\n";
+    forEachPerturbation(false, [&](const ConfigField &,
+                                   const std::string &label,
+                                   const MachineConfig &,
+                                   const MachineConfig &config) {
+        got += label + " " +
+               sweep::keyHex(sweep::hashMachineConfig(config)) + "\n";
+    });
+
+    std::ifstream fixture(SCMP_GOLDEN_DIR "/config_keys.txt");
+    ASSERT_TRUE(fixture) << "missing config_keys.txt fixture";
+    std::string want;
+    for (std::string line; std::getline(fixture, line);) {
+        if (!line.empty() && line[0] != '#')
+            want += line + "\n";
+    }
+    EXPECT_EQ(got, want);
 }
 
 TEST(PointKey, HexRoundTrip)
@@ -626,6 +735,18 @@ TEST(SweepDeath, StoredStudyRecordWithAnotherAxisIsFatal)
             "does not match its key's configuration");
     }
     std::remove(path.c_str());
+}
+
+TEST(SweepDeath, JobsMustBeAutoOrCount)
+{
+    EXPECT_EQ(sweep::parseJobs("auto"), 0);
+    EXPECT_EQ(sweep::parseJobs("0"), 0);
+    EXPECT_EQ(sweep::parseJobs("3"), 3);
+    for (const char *bad : {"x", "two", "-1", "2x", ""}) {
+        EXPECT_EXIT(sweep::parseJobs(bad), ::testing::ExitedWithCode(1),
+                    "--jobs must be 'auto' or a non-negative count")
+            << bad;
+    }
 }
 
 TEST(SweepDeath, AnalyticScreenRejectsAxisStudies)

@@ -19,6 +19,7 @@
 #include <optional>
 
 #include "check/checker.hh"
+#include "core/config_schema.hh"
 #include "core/machine.hh"
 #include "core/parallel_run.hh"
 
@@ -343,11 +344,11 @@ TEST(TmFallback, CapacityStarvedTxnTakesTheLock)
         WideTxnWorkload workload;
         Arena arena(config.arenaBytes);
         RunResult result = runParallel(config, workload, &arena);
-        EXPECT_TRUE(result.verified) << tmModeName(mode);
+        EXPECT_TRUE(result.verified) << enumName(mode);
         // Exactly maxAborts capacity aborts, then the lock.
-        EXPECT_EQ(result.tmAborts, 3u) << tmModeName(mode);
-        EXPECT_EQ(result.tmFallbacks, 1u) << tmModeName(mode);
-        EXPECT_EQ(result.tmCommits, 0u) << tmModeName(mode);
+        EXPECT_EQ(result.tmAborts, 3u) << enumName(mode);
+        EXPECT_EQ(result.tmFallbacks, 1u) << enumName(mode);
+        EXPECT_EQ(result.tmCommits, 0u) << enumName(mode);
     }
 }
 
