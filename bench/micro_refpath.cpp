@@ -1,12 +1,11 @@
 /**
  * @file
- * Microbenchmarks of the reference fast path introduced by the
- * hot-path overhaul, one per optimization layer: the same-line
- * filter hit against the plain hit path, the MRU tag probe, the
- * flat MSHR table against its workload, Scalar increments, and a
+ * Microbenchmarks of the SCC reference path, one per layer: the
+ * hit path (one tag probe per reference, bank and fill state read
+ * from the line), the MRU tag probe, Scalar increments, and a
  * small engine+machine stream that exercises all of them together.
  * Companion to micro_primitives (which benches the primitives the
- * fast path is built from); scripts/bench_report.sh records the
+ * reference path is built from); scripts/bench_report.sh records the
  * end-to-end figure runtimes.
  */
 
@@ -18,7 +17,6 @@
 #include "exec/arena.hh"
 #include "exec/engine.hh"
 #include "mem/bus.hh"
-#include "mem/mshr_table.hh"
 #include "mem/scc.hh"
 #include "mem/tag_array.hh"
 #include "sim/stats.hh"
@@ -28,16 +26,13 @@ namespace
 
 using namespace scmp;
 
-/** A warmed SCC hammered on one resident line — the filter's best
- *  case (and, with fastPath off, the plain hit path's). */
+/** A warmed SCC hammered on one resident line. */
 void
 BM_SccSameLineHit(benchmark::State &state)
 {
-    SccParams params;
-    params.fastPath = state.range(0) != 0;
     stats::Group root("bench");
     SnoopyBus bus(&root, BusParams{});
-    SharedClusterCache scc(&root, 0, 2, params, &bus);
+    SharedClusterCache scc(&root, 0, 2, SccParams{}, &bus);
     bus.attach(&scc);
     scc.access(0, RefType::Read, 0x1000, 0);
     Cycle now = 200;
@@ -46,20 +41,17 @@ BM_SccSameLineHit(benchmark::State &state)
             scc.access(0, RefType::Read, 0x1000, now));
         now += 2;
     }
-    state.SetLabel(params.fastPath ? "fastPath" : "plain");
 }
-BENCHMARK(BM_SccSameLineHit)->Arg(0)->Arg(1);
+BENCHMARK(BM_SccSameLineHit);
 
-/** Ping-pong between a few hot lines — the multi-entry filter's
- *  reason to exist; one entry would thrash. */
+/** Ping-pong between a few hot lines (an object's fields, a stack
+ *  slot, a lock word) in different sets. */
 void
 BM_SccAlternatingLineHits(benchmark::State &state)
 {
-    SccParams params;
-    params.fastPath = state.range(0) != 0;
     stats::Group root("bench");
     SnoopyBus bus(&root, BusParams{});
-    SharedClusterCache scc(&root, 0, 2, params, &bus);
+    SharedClusterCache scc(&root, 0, 2, SccParams{}, &bus);
     bus.attach(&scc);
     const Addr lines[3] = {0x1000, 0x2000, 0x3000};
     Cycle now = 0;
@@ -72,11 +64,10 @@ BM_SccAlternatingLineHits(benchmark::State &state)
         i = (i + 1) % 3;
         now += 2;
     }
-    state.SetLabel(params.fastPath ? "fastPath" : "plain");
 }
-BENCHMARK(BM_SccAlternatingLineHits)->Arg(0)->Arg(1);
+BENCHMARK(BM_SccAlternatingLineHits);
 
-/** Repeat writes to a Modified line — the write-filter case. */
+/** Repeat writes to a Modified line. */
 void
 BM_SccWriteModifiedHit(benchmark::State &state)
 {
@@ -93,23 +84,6 @@ BM_SccWriteModifiedHit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SccWriteModifiedHit);
-
-/** The MSHR table under its real workload: allocate on miss, look
- *  up a few times while in flight, then retire. */
-void
-BM_MshrChurn(benchmark::State &state)
-{
-    MshrTable table;
-    Addr addr = 0x1000;
-    for (auto _ : state) {
-        table.set(addr, 100);
-        benchmark::DoNotOptimize(table.find(addr));
-        benchmark::DoNotOptimize(table.find(addr + 0x40));
-        table.erase(addr);
-        addr += 0x40;
-    }
-}
-BENCHMARK(BM_MshrChurn);
 
 /** Repeat probe of one line — the MRU hint's target pattern. */
 void

@@ -57,7 +57,9 @@ CoherenceChecker::CoherenceChecker(
       tmAbortsChecked(&_group, "tmAbortsChecked",
                       "transaction aborts verified unpublished"),
       partitionChecks(&_group, "partitionChecks",
-                      "isolation partition placements checked")
+                      "isolation partition placements checked"),
+      bankChecks(&_group, "bankChecks",
+                 "SCC line banks checked against the interleaving")
 {
     for (std::size_t i = 0; i < _caches.size(); ++i) {
         panic_if(!_caches[i], "checker: null cache at index ", i);
@@ -516,6 +518,7 @@ CoherenceChecker::fullWalk()
     ++fullWalks;
     linesWalked += stats.linesWalked;
     partitionChecks += stats.partitionChecks;
+    bankChecks += stats.bankChecks;
 }
 
 std::uint64_t

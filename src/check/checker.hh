@@ -230,6 +230,7 @@ class CoherenceChecker : public CoherenceObserver
     stats::Scalar tmPublishesChecked; //!< publication writes matched
     stats::Scalar tmAbortsChecked; //!< aborts verified unpublished
     stats::Scalar partitionChecks; //!< isolation placements checked
+    stats::Scalar bankChecks;     //!< SCC line banks checked
     /// @}
 };
 

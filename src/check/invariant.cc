@@ -49,9 +49,24 @@ walkTagInvariants(
             }
             ++idx;
             ++stats.linesWalked;
-            if (!line.valid())
+            if (!line.valid()) {
+                // A fill's MSHR lives in its line; one left behind
+                // on an invalid way would merge or retire a later
+                // tenant's references against a stale ready cycle.
+                panic_if(line.pending, "invariant: cache ", ci,
+                         " set ", set,
+                         " has an invalid line carrying a pending "
+                         "fill");
                 return;
+            }
             ++stats.validLines;
+
+            ++stats.bankChecks;
+            panic_if((BankId)line.bank != caches[ci]->bankOf(line.tag),
+                     "invariant: cache ", ci, " line 0x", std::hex,
+                     line.tag, std::dec, " is served by bank ",
+                     line.bank, " but interleaves to bank ",
+                     caches[ci]->bankOf(line.tag));
 
             panic_if(tags.lineAddr(line.tag) != line.tag,
                      "invariant: cache ", ci,

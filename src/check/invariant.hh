@@ -11,8 +11,10 @@
  *  - walkTagInvariants: the full sweep of every line of every tag
  *    array — SWMR (at most one Modified copy system-wide, and a
  *    Modified copy is the only copy), tag/set placement, LRU stamp
- *    well-formedness, and optional cross-checks against the golden
- *    oracle's shadow copies. Run periodically and at teardown.
+ *    well-formedness, each line's serving bank and pending-fill
+ *    marker (the SCC's per-line MSHR), and optional cross-checks
+ *    against the golden oracle's shadow copies. Run periodically
+ *    and at teardown.
  *
  * In the paper's terms: SWMR is exactly the write-invalidate
  * guarantee the SCC design leans on — a write must kill every
@@ -48,6 +50,14 @@ struct WalkStats
      * walked cache is isolated.
      */
     std::uint64_t partitionChecks = 0;
+
+    /**
+     * Valid lines whose recorded serving bank was checked against
+     * the cache's line interleaving (bankOf(tag)). The SCC reads a
+     * hit's bank from the line, so a stale bank would mis-time
+     * every later hit without changing any hit/miss outcome.
+     */
+    std::uint64_t bankChecks = 0;
 };
 
 /**

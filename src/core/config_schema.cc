@@ -119,7 +119,6 @@ constexpr ConfigField fields[] = {
     {SCMP_FIELD(scc.bankOccupancy)}, {SCMP_FIELD(scc.stallOnUpgrade)},
     {SCMP_FIELD(scc.protocol), .spellings = protocols,
      .flag = "protocol"},
-    {SCMP_FIELD(scc.fastPath), .observational = true},
     {SCMP_FIELD(bus.memoryLatency)},
     {SCMP_FIELD(bus.transferOccupancy), .flag = "bus-occupancy"},
     {SCMP_FIELD(bus.addressOccupancy)},

@@ -254,10 +254,9 @@ Machine::enableObs()
                   sumScc(&SharedClusterCache::bankConflictCycles));
     r->addCounter("missStallCycles",
                   sumScc(&SharedClusterCache::missStallCycles));
-    // Recorder-internal gauges/counters: these stay out of the
-    // stats:: tree on purpose so attaching observability can never
-    // change a stats dump.
-    r->addCounter("fastRefs", [r] { return r->fastRefs(); });
+    // Recorder-internal gauge: it stays out of the stats:: tree on
+    // purpose so attaching observability can never change a stats
+    // dump.
     r->addGauge("mshrLive", [r] { return r->mshrLive(); });
     r->seal();
 

@@ -45,7 +45,6 @@ SharedClusterCache::SharedClusterCache(stats::Group *parent,
 {
     panic_if(numCpus <= 0, "SCC needs at least one processor");
     panic_if(!bus, "SCC needs a bus");
-    _filters.resize((std::size_t)numCpus);
     _domainByPort.assign((std::size_t)numCpus, 0);
     if (params.sec.mode != IsolationMode::None) {
         for (int cpu = 0; cpu < numCpus; ++cpu)
@@ -92,93 +91,57 @@ SharedClusterCache::access(int localCpu, RefType type, Addr addr,
     panic_if(type == RefType::Ifetch,
              "instruction fetches do not reach the SCC");
 
-    Addr lineAddr = _tags.lineAddr(addr);
-    FilterSet &filter = _filters[(std::size_t)localCpu];
-
-    // Fast path: one of this port's recent references hit this line
-    // and nothing that could divert the outcome — a fill, an
-    // eviction, an MSHR allocation (epoch check) or a snoop
-    // invalidate/demote (state check) — happened since. Replay the
-    // hit path's exact side effects and return.
-    for (const RefFilter &f : filter.entry) {
-        if (f.lineAddr != lineAddr || f.fillEpoch != _fillEpoch)
-            continue;
-        CoherenceState state = f.line->state;
-        bool hit = type == RefType::Read
-                       ? state != CoherenceState::Invalid
-                       : state == CoherenceState::Modified;
-        if (hit) {
-            Cycle &fastBankFree = _bankNextFree[f.bank];
-            Cycle start = std::max(now, fastBankFree);
-            bankConflictCycles += start - now;
-            fastBankFree = start + _params.bankOccupancy;
-            _tags.touch(f.line);
-            if (type == RefType::Read)
-                ++readHits;
-            else
-                ++writeHits;
-            if (_recorder)
-                _recorder->sccPortRef(
-                    _cluster, localCpu, refTypeName(type), addr,
-                    now, start + _params.bankOccupancy, true);
-            return start;
-        }
-        break;  // armed but the state no longer permits the hit
-    }
+    // One tag probe serves the whole reference: a resident line
+    // carries its serving bank and its fill, if one is in flight.
+    CacheLine *line = _tags.probe(addr);
+    std::uint32_t bank = line ? line->bank : (std::uint32_t)bankOf(addr);
 
     // Bank arbitration: wait for the serving bank to free up.
-    Cycle &bankFree = _bankNextFree[(std::size_t)bankOf(addr)];
+    Cycle &bankFree = _bankNextFree[bank];
     Cycle start = std::max(now, bankFree);
     bankConflictCycles += start - now;
     bankFree = start + _params.bankOccupancy;
     if (_recorder)
         _recorder->sccPortRef(_cluster, localCpu,
                               refTypeName(type), addr, now,
-                              bankFree, false);
+                              bankFree);
 
-    // Merge with an outstanding fill for this line, if any.
-    if (Cycle *mshr = _mshrs.find(lineAddr)) {
-        if (start < *mshr) {
+    // Merge with the line's outstanding fill, if any.
+    if (line && line->pending) {
+        if (start < line->readyAt) {
             ++mergedMisses;
-            Cycle ready = *mshr;
+            Cycle ready = line->readyAt;
             if (_recorder)
-                _recorder->mshrMerge(_cluster, lineAddr, start);
+                _recorder->mshrMerge(_cluster, line->tag, start);
             missStallCycles += ready - start;
             // A write joining a read fill still needs to inform
             // the other caches (exclusivity or an update).
-            CacheLine *line = _tags.probe(lineAddr);
-            if (type == RefType::Write && line &&
+            if (type == RefType::Write &&
                 line->state == CoherenceState::Shared) {
                 if (_params.protocol ==
                     CoherenceProtocol::WriteUpdate) {
                     ++updatesBroadcast;
                     bool remoteCopy = false;
                     _bus->transaction(_cluster, BusOp::Update,
-                                      lineAddr, ready,
+                                      line->tag, ready,
                                       &remoteCopy);
                     if (!remoteCopy)
                         line->state = CoherenceState::Modified;
                 } else {
                     _bus->transaction(_cluster, BusOp::Upgrade,
-                                      lineAddr, ready);
+                                      line->tag, ready);
                     line->state = CoherenceState::Modified;
                 }
             }
             return ready;
         }
-        // The fill completed in the past; the entry retires lazily
-        // here, at the first reference to find it expired.
-        Cycle expired = *mshr;
-        _mshrs.erase(lineAddr);
-        if (_recorder)
-            _recorder->mshrRetire(_cluster, lineAddr, expired);
+        // The fill completed in the past; it retires lazily here,
+        // at the first reference to find it expired.
+        retireFill(*line, line->readyAt);
     }
 
-    CacheLine *line = _tags.lookup(addr);
-
     if (line) {
-        if (_params.fastPath)
-            armFilter(filter, line, lineAddr);
+        _tags.touch(line);
         if (type == RefType::Read) {
             ++readHits;
             return start;
@@ -197,7 +160,7 @@ SharedClusterCache::access(int localCpu, RefType type, Addr addr,
             ++updatesBroadcast;
             bool remoteCopy = false;
             Cycle grant = _bus->transaction(
-                _cluster, BusOp::Update, lineAddr, start,
+                _cluster, BusOp::Update, line->tag, start,
                 &remoteCopy);
             if (!remoteCopy)
                 line->state = CoherenceState::Modified;
@@ -210,7 +173,7 @@ SharedClusterCache::access(int localCpu, RefType type, Addr addr,
         // Shared → Modified: invalidate remote copies.
         ++upgradeHits;
         Cycle grant = _bus->transaction(_cluster, BusOp::Upgrade,
-                                        lineAddr, start);
+                                        line->tag, start);
         line->state = CoherenceState::Modified;
         if (_params.stallOnUpgrade) {
             missStallCycles += grant - start;
@@ -220,6 +183,7 @@ SharedClusterCache::access(int localCpu, RefType type, Addr addr,
     }
 
     // Miss.
+    Addr lineAddr = _tags.lineAddr(addr);
     if (type == RefType::Read)
         ++readMisses;
     else
@@ -227,7 +191,7 @@ SharedClusterCache::access(int localCpu, RefType type, Addr addr,
     DPRINTF(Cache, "scc", _cluster, " ", refTypeName(type),
             " miss line 0x", std::hex, lineAddr, std::dec, " @",
             start);
-    Cycle ready = handleMiss(type, lineAddr, start,
+    Cycle ready = handleMiss(type, lineAddr, bank, start,
                              _domainByPort[(std::size_t)localCpu]);
     missStallCycles += ready - start;
     return ready;
@@ -242,8 +206,7 @@ SharedClusterCache::rekeyFlush(Cycle now)
     _tags.forEachLine([&](CacheLine &line) {
         if (!line.valid())
             return;
-        if (_mshrs.erase(line.tag) && _recorder)
-            _recorder->mshrRetire(_cluster, line.tag, now);
+        retireFill(line, now);
         bool dirty = line.state == CoherenceState::Modified;
         if (dirty) {
             ++writeBacks;
@@ -255,14 +218,8 @@ SharedClusterCache::rekeyFlush(Cycle now)
                 _observer->onDirtyFlush(_cluster, line.tag);
             _observer->onEvict(_cluster, line.tag, dirty);
         }
-        line.state = CoherenceState::Invalid;
-        line.tag = invalidAddr;
-        line.lruStamp = 0;
-        line.domain = 0;
+        line = CacheLine{};
     });
-    for (FilterSet &set : _filters)
-        set = FilterSet{};
-    ++_fillEpoch;
     _tags.rekey();
     _fillsSinceRekey = 0;
     ++rekeyFlushes;
@@ -270,9 +227,20 @@ SharedClusterCache::rekeyFlush(Cycle now)
             _tags.rekeyEpoch(), " @", now);
 }
 
+void
+SharedClusterCache::retireFill(CacheLine &line, Cycle when)
+{
+    if (!line.pending)
+        return;
+    line.pending = false;
+    if (_recorder)
+        _recorder->mshrRetire(_cluster, line.tag, when);
+}
+
 Cycle
 SharedClusterCache::handleMiss(RefType type, Addr lineAddr,
-                               Cycle now, int domain)
+                               std::uint32_t bank, Cycle now,
+                               int domain)
 {
     // Rand isolation turns its epoch by fill count: once enough
     // fills have landed under the current keys, flush and rekey
@@ -283,17 +251,11 @@ SharedClusterCache::handleMiss(RefType type, Addr lineAddr,
         rekeyFlush(now);
     ++_fillsSinceRekey;
 
-    // Every fill moves a tag and allocates an MSHR; advancing the
-    // epoch here is what lets the reference filters prove, with one
-    // compare, that neither has happened since they were armed.
-    ++_fillEpoch;
-
     // Evict the victim; write back dirty data (buffered, so the
     // requester does not wait on it beyond bus occupancy).
     CacheLine *victim = _tags.victim(lineAddr, domain);
     if (victim->valid()) {
-        if (_mshrs.erase(victim->tag) && _recorder)
-            _recorder->mshrRetire(_cluster, victim->tag, now);
+        retireFill(*victim, now);
         if (victim->state == CoherenceState::Modified) {
             ++writeBacks;
             _bus->transaction(_cluster, BusOp::WriteBack, victim->tag,
@@ -338,7 +300,11 @@ SharedClusterCache::handleMiss(RefType type, Addr lineAddr,
     _tags.fill(victim, lineAddr, fillState, domain);
     if (_observer)
         _observer->onFill(_cluster, lineAddr, fillState);
-    _mshrs.set(lineAddr, ready);
+    // The fill stays pending in its line until the first reference
+    // at or after `ready` retires it (or the line leaves first).
+    victim->bank = bank;
+    victim->readyAt = ready;
+    victim->pending = true;
     if (_recorder)
         _recorder->mshrAlloc(_cluster, lineAddr, now, ready);
     return ready;
@@ -379,10 +345,8 @@ SharedClusterCache::snoop(BusOp op, Addr lineAddr, Cycle when)
             if (_observer)
                 _observer->onDirtyFlush(_cluster, lineAddr);
         }
+        retireFill(*line, when);
         _tags.invalidate(lineAddr);
-        if (_mshrs.erase(lineAddr) && _recorder)
-            _recorder->mshrRetire(_cluster, lineAddr, when);
-        flushFilters(lineAddr);
         if (_observer)
             _observer->onInvalidate(_cluster, lineAddr);
         result.invalidated = true;
@@ -397,10 +361,6 @@ SharedClusterCache::snoop(BusOp op, Addr lineAddr, Cycle when)
         // defensively if the protocols were mixed.
         if (line->state == CoherenceState::Modified)
             line->state = CoherenceState::Shared;
-        // The copy survives, but a filtered write may no longer
-        // treat it as exclusively held — drop the armed filters
-        // and let the next reference re-prove the hit.
-        flushFilters(lineAddr);
         if (_observer)
             _observer->onUpdateAbsorbed(_cluster, lineAddr);
         ++updatesReceived;

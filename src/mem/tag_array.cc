@@ -37,22 +37,22 @@ TagArray::TagArray(std::uint64_t sizeBytes, std::uint32_t lineBytes,
     _mruWay.assign(_numSets, 0);
 
     if (isolated()) {
-        fatal_if(_sec.domains < 2,
-                 "isolation needs at least two security domains");
+        // MachineConfig::check words these rules for the user; a
+        // violation reaching the array is a simulator bug.
+        panic_if(_sec.domains < 2,
+                 "isolation with fewer than two domains");
         switch (_sec.mode) {
           case IsolationMode::WayPart:
-            fatal_if(assoc % (std::uint32_t)_sec.domains != 0,
-                     "--isolation=waypart needs the associativity (",
-                     assoc, ") divisible by --isolation-domains (",
-                     _sec.domains, ")");
+            panic_if(assoc % (std::uint32_t)_sec.domains != 0,
+                     "waypart: ", assoc, " ways do not divide into ",
+                     _sec.domains, " domains");
             _waysPerDomain = assoc / (std::uint32_t)_sec.domains;
             break;
           case IsolationMode::Color:
-            fatal_if(!isPowerOf2((std::uint64_t)_sec.domains) ||
+            panic_if(!isPowerOf2((std::uint64_t)_sec.domains) ||
                          (std::uint64_t)_sec.domains > _numSets,
-                     "--isolation=color needs a power-of-two "
-                     "--isolation-domains dividing the set count (",
-                     _numSets, " sets, ", _sec.domains, " domains)");
+                     "color: ", _sec.domains,
+                     " domains do not divide ", _numSets, " sets");
             _setsPerDomain = _numSets / (std::uint64_t)_sec.domains;
             break;
           case IsolationMode::Rand:
@@ -133,6 +133,11 @@ TagArray::probe(Addr addr) const
     std::uint64_t set = setIndex(addr);
     const CacheLine *base = &_lines[set * _assoc];
 
+    // Direct-mapped (the paper's SCC): one way, and no hint load in
+    // front of it.
+    if (_assoc == 1)
+        return base->tag == tag && base->valid() ? base : nullptr;
+
     // The most-recently-hit way first: on the dominant repeat-hit
     // pattern this is the only compare executed.
     std::uint32_t mru = _mruWay[set];
@@ -207,14 +212,12 @@ TagArray::invalidate(Addr addr)
     CacheLine *line = probe(addr);
     if (!line)
         return false;
-    line->state = CoherenceState::Invalid;
-    line->tag = invalidAddr;
-    // Clear the recency stamp too: an invalid way must not carry a
-    // stale stamp into its next tenancy (fill() re-stamps, but any
-    // path that inspects stamps between invalidate and refill would
-    // otherwise see a recency the way no longer has).
-    line->lruStamp = 0;
-    line->domain = 0;
+    // Clear the recency stamp and miss state too: an invalid way
+    // must not carry a stale stamp or a pending fill into its next
+    // tenancy (fill() re-stamps, but any path that inspects a way
+    // between invalidate and refill would otherwise see state the
+    // way no longer has).
+    *line = CacheLine{};
     return true;
 }
 

@@ -27,18 +27,39 @@
 namespace scmp
 {
 
-/** One cache line's bookkeeping. */
+/**
+ * One cache line's bookkeeping. The SCC keeps its per-line miss
+ * state here too: a fill's tag is installed when the miss issues, so
+ * an outstanding fill (the MSHR) only ever exists for a resident
+ * line and lives in that line. The instruction cache leaves those
+ * fields at their defaults.
+ */
 struct CacheLine
 {
     Addr tag = invalidAddr;
-    CoherenceState state = CoherenceState::Invalid;
     std::uint64_t lruStamp = 0;
+
+    /** Cycle the line's fill delivers data (meaningful if pending). */
+    Cycle readyAt = 0;
+
+    /** SCC bank serving the line, set at fill. */
+    std::uint32_t bank = 0;
 
     /** Security domain that filled the line (0 when not isolated). */
     std::uint16_t domain = 0;
 
+    CoherenceState state = CoherenceState::Invalid;
+
+    /**
+     * A fill is outstanding (the line's MSHR). An explicit marker,
+     * not readyAt == 0, so a fill ready at cycle 0 still retires.
+     */
+    bool pending = false;
+
     bool valid() const { return state != CoherenceState::Invalid; }
 };
+static_assert(sizeof(CacheLine) == 32,
+              "CacheLine must stay two to a 64-byte host line");
 
 /** Tag store for one cache (SCC or instruction cache). */
 class TagArray
@@ -93,8 +114,8 @@ class TagArray
     const CacheLine *probe(Addr addr) const;
 
     /**
-     * Re-stamp a line already known to be resident (the reference
-     * fast path). Equivalent to the LRU side effect of lookup().
+     * Re-stamp a line already known to be resident (after probe()).
+     * Equivalent to the LRU side effect of lookup().
      */
     void
     touch(CacheLine *line)
@@ -118,7 +139,10 @@ class TagArray
     void fill(CacheLine *line, Addr addr, CoherenceState state,
               int domain = 0);
 
-    /** Invalidate a line if present. @return true if it was valid. */
+    /**
+     * Invalidate a line if present, resetting every field (a pending
+     * fill included). @return true if it was valid.
+     */
     bool invalidate(Addr addr);
 
     /** Number of valid lines (tests / occupancy stats). */

@@ -158,16 +158,13 @@ Recorder::busTransaction(int cacheIndex, const char *opName,
 
 void
 Recorder::sccPortRef(int cluster, int port, const char *typeName,
-                     Addr addr, Cycle request, Cycle done, bool fast)
+                     Addr addr, Cycle request, Cycle done)
 {
-    if (fast)
-        ++_fastRefs;
     Event event;
     event.start = request;
     event.end = done;
     event.addr = addr;
     event.label = typeName;
-    event.arg = fast ? 1 : 0;
     event.track = static_cast<std::int16_t>(port);
     event.owner = static_cast<std::int16_t>(cluster);
     event.kind = EventKind::PortRef;
@@ -205,6 +202,7 @@ Recorder::mshrMerge(int cluster, Addr lineAddr, Cycle when)
 void
 Recorder::mshrRetire(int cluster, Addr lineAddr, Cycle when)
 {
+    ++_mshrRetires;
     if (_mshrLive > 0)
         --_mshrLive;
     Event event;

@@ -164,10 +164,9 @@ class Recorder
      * @param addr     Referenced address.
      * @param request  Issue cycle.
      * @param done     Cycle the port's bank went free again.
-     * @param fast     Served by the reference filter fast path.
      */
     void sccPortRef(int cluster, int port, const char *typeName,
-                    Addr addr, Cycle request, Cycle done, bool fast);
+                    Addr addr, Cycle request, Cycle done);
 
     /** An MSHR was allocated for a miss on @p lineAddr. */
     void mshrAlloc(int cluster, Addr lineAddr, Cycle start,
@@ -176,7 +175,7 @@ class Recorder
     /** A later miss merged into an in-flight MSHR. */
     void mshrMerge(int cluster, Addr lineAddr, Cycle when);
 
-    /** An MSHR entry left the table (fill done or invalidated). */
+    /** An MSHR retired (fill done, or its line left the cache). */
     void mshrRetire(int cluster, Addr lineAddr, Cycle when);
     /// @}
 
@@ -204,10 +203,11 @@ class Recorder
     /** Columnar series JSON (captureSeries) — "" if not captured. */
     const std::string &seriesJson() const { return _seriesJson; }
 
-    /** Fast-path (reference-filter) hits seen by sccPortRef. */
-    std::uint64_t fastRefs() const { return _fastRefs; }
     /** MSHRs currently live (allocs minus retires). */
     std::uint64_t mshrLive() const { return _mshrLive; }
+    std::uint64_t mshrAllocs() const { return _mshrAllocs; }
+    std::uint64_t mshrMerges() const { return _mshrMerges; }
+    std::uint64_t mshrRetires() const { return _mshrRetires; }
     /// @}
 
     /** Serialize the timeline as Chrome trace_event JSON. */
@@ -231,13 +231,13 @@ class Recorder
 
     /// @name Recorder-internal gauges. These live here rather than
     /// in the stats:: tree so that attaching observability cannot
-    /// change a stats dump (test_ref_filter and the perf gate
-    /// compare dumps byte-for-byte across configurations).
+    /// change a stats dump (tests/golden/scc_events.txt pins dump
+    /// digests taken with a recorder attached).
     /// @{
-    std::uint64_t _fastRefs = 0;
     std::uint64_t _mshrLive = 0;
     std::uint64_t _mshrAllocs = 0;
     std::uint64_t _mshrMerges = 0;
+    std::uint64_t _mshrRetires = 0;
     /// @}
 };
 

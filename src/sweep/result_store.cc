@@ -3,6 +3,8 @@
 #include <unistd.h>
 
 #include <limits>
+#include <mutex>
+#include <set>
 #include <type_traits>
 
 #include "core/config_schema.hh"
@@ -37,6 +39,20 @@ struct MetricField
 
 bool hasDram(const RunResult &r) { return r.dramFills != 0; }
 bool hasTm(const RunResult &r) { return r.tmCommits || r.tmAborts; }
+/**
+ * Record that this process opens @p path. @return true the first
+ * time: a run's first sweep starts the store afresh, and every later
+ * sweep of the run (a bench sweeps once per workload) appends to it.
+ */
+bool
+firstOpenInProcess(const std::string &path)
+{
+    static std::mutex mutex;
+    static std::set<std::string> opened;
+    std::lock_guard<std::mutex> lock(mutex);
+    return opened.insert(path).second;
+}
+
 bool hasServer(const RunResult &r) { return r.requests != 0; }
 bool hasSec(const RunResult &r) { return r.secEpochs != 0; }
 
@@ -294,6 +310,7 @@ ResultStore::open(const std::string &path, bool loadExisting)
 {
     panic_if(_file, "result store is already open");
     _path = path;
+    bool first = firstOpenInProcess(path);
 
     long keepBytes = 0;
     if (loadExisting) {
@@ -348,7 +365,7 @@ ResultStore::open(const std::string &path, bool loadExisting)
         }
         _file = std::fopen(path.c_str(), "ab");
     } else {
-        _file = std::fopen(path.c_str(), "wb");
+        _file = std::fopen(path.c_str(), first ? "wb" : "ab");
     }
     fatal_if(!_file, "cannot open results file '", path,
              "' for writing");

@@ -95,7 +95,9 @@ class ResultStore
      *
      * @param loadExisting Resume mode: parse any existing records
      *        first (fatal on corruption, see file comment). When
-     *        false an existing file is overwritten.
+     *        false an existing file is overwritten by the process's
+     *        first open of @p path and appended to by later ones,
+     *        so the sweeps of one run share the store.
      */
     void open(const std::string &path, bool loadExisting);
 

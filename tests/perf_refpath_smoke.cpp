@@ -2,7 +2,7 @@
  * @file
  * perf_refpath_smoke — the `perf` ctest gate.
  *
- * Three teeth, all aimed at the reference hot path:
+ * Two teeth, both aimed at the reference hot path:
  *
  *  1. Throughput floor: a fixed traffic mix through a 2x2 machine
  *     must sustain a minimum references-per-second rate. The floor
@@ -13,12 +13,7 @@
  *     not to benchmark. scripts/bench_report.sh does the real
  *     measuring.
  *
- *  2. Golden equality: the same stream with the fast path disabled
- *     must produce a byte-identical statistics dump — the fast
- *     path's bit-identical-timing contract, enforced on every run
- *     of the perf label.
- *
- *  3. Engine dispatch: 32 fibers streaming references through a
+ *  2. Engine dispatch: 32 fibers streaming references through a
  *     latency-mix memory double, so most references reschedule,
  *     must clear a generous rate — at least ten times below a
  *     release build — and 1024 fibers must not dispatch much more
@@ -32,8 +27,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <sstream>
-#include <string>
 
 #include "check/traffic.hh"
 #include "core/machine.hh"
@@ -45,14 +38,14 @@ namespace
 
 using namespace scmp;
 
-std::string
-runStream(bool fastPath, double *refsPerSec)
+/** @return references per second of the fixed traffic mix. */
+double
+runStream()
 {
     MachineConfig config;
     config.numClusters = 2;
     config.cpusPerCluster = 2;
     config.scc.sizeBytes = 16 << 10;
-    config.scc.fastPath = fastPath;
 
     Machine machine(config);
     check::TrafficParams traffic;
@@ -66,12 +59,7 @@ runStream(bool fastPath, double *refsPerSec)
     auto end = std::chrono::steady_clock::now();
     double seconds =
         std::chrono::duration<double>(end - begin).count();
-    if (refsPerSec)
-        *refsPerSec = (double)traffic.steps / seconds;
-
-    std::ostringstream os;
-    machine.statsRoot().dump(os);
-    return os.str();
+    return (double)traffic.steps / seconds;
 }
 
 /** Hits, short stalls and long misses, mixed by address hash. */
@@ -136,9 +124,7 @@ main()
     // millions of refs/sec through this loop.
     constexpr double floorRefsPerSec = 30000.0;
 
-    double refsPerSec = 0.0;
-    std::string fast = runStream(true, &refsPerSec);
-    std::string plain = runStream(false, nullptr);
+    double refsPerSec = runStream();
 
     std::printf("refpath smoke: %.0f refs/sec (floor %.0f)\n",
                 refsPerSec, floorRefsPerSec);
@@ -147,12 +133,6 @@ main()
                      "FAIL: reference throughput below floor\n");
         return 1;
     }
-    if (fast != plain) {
-        std::fprintf(stderr,
-                     "FAIL: fast path changed the stats dump\n");
-        return 1;
-    }
-    std::printf("refpath smoke: fast path dump identical\n");
 
     // A release build dispatches ~15-20M refs/sec here (32 fibers,
     // 4-core x86-64 host); the floor sits over ten times below.

@@ -235,6 +235,7 @@ runCheckedFuzz(MachineConfig config, std::uint64_t seed)
     EXPECT_GT(checker->lineChecks.value(), 0.0);
     EXPECT_GT(checker->fullWalks.value(), 0.0);
     EXPECT_GT(checker->eventsObserved.value(), 0.0);
+    EXPECT_GT(checker->bankChecks.value(), 0.0);
 }
 
 TEST(CheckedFuzz, WriteInvalidateRunsClean)
@@ -271,6 +272,72 @@ TEST(CheckedFuzz, ExhaustiveWalkEveryTransaction)
     TrafficGen(params).run(machine);
     EXPECT_EQ(machine.checker()->fullWalks.value(),
               machine.checker()->lineChecks.value());
+}
+
+/** A fuzzed two-cluster machine and its caches, for direct walks. */
+struct WalkedMachine
+{
+    WalkedMachine() : machine(checkedConfig())
+    {
+        TrafficParams params;
+        params.seed = 31;
+        params.steps = 4000;
+        params.totalCpus = machine.config().totalCpus();
+        params.lineBytes = machine.config().scc.lineBytes;
+        TrafficGen(params).run(machine);
+        caches = {&machine.scc(0), &machine.scc(1)};
+    }
+
+    /**
+     * Apply @p plant to every line of cluster 0's tags, then walk.
+     * Death tests call this inside the forked child, so the planted
+     * corruption never reaches the checker's teardown walk.
+     */
+    template <typename Fn>
+    void
+    plantAndWalk(Fn plant)
+    {
+        const_cast<TagArray &>(machine.scc(0).tags())
+            .forEachLine(plant);
+        walkTagInvariants(caches, nullptr);
+    }
+
+    Machine machine;
+    std::vector<const SharedClusterCache *> caches;
+};
+
+TEST(TagWalk, ChecksEveryValidLinesBank)
+{
+    WalkedMachine m;
+    WalkStats stats = walkTagInvariants(m.caches, nullptr);
+    EXPECT_GT(stats.validLines, 0u);
+    EXPECT_EQ(stats.bankChecks, stats.validLines);
+}
+
+TEST(TagWalkDeath, WrongBankDies)
+{
+    WalkedMachine m;
+    const SharedClusterCache &scc = m.machine.scc(0);
+    EXPECT_DEATH(m.plantAndWalk([&](CacheLine &line) {
+        if (line.valid())
+            line.bank = (std::uint32_t)((scc.bankOf(line.tag) + 1) %
+                                        scc.numBanks());
+    }),
+                 "interleaves to bank");
+}
+
+TEST(TagWalkDeath, PendingFillOnInvalidLineDies)
+{
+    WalkedMachine m;
+    ASSERT_LT(m.machine.scc(0).tags().validLines(),
+              m.machine.scc(0).tags().numSets() *
+                  m.machine.scc(0).tags().assoc())
+        << "no invalid line to plant on";
+    EXPECT_DEATH(m.plantAndWalk([](CacheLine &line) {
+        if (!line.valid())
+            line.pending = true;
+    }),
+                 "invalid line carrying a pending fill");
 }
 
 TEST(CheckedFuzz, CheckerOffByDefault)

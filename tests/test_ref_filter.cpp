@@ -1,23 +1,15 @@
 /**
  * @file
- * Directed tests for the SCC reference filter (the fast path).
- *
- * The filter short-circuits repeat same-line hits; its validity
- * argument is "nothing that could divert the outcome happened since
- * it was armed". These tests aim remote coherence events exactly
- * between two same-line accesses — under the coherence checker, so
- * a stale filter hit would be caught by the oracle as well as by
- * the stat assertions — and prove full-run equivalence of the fast
- * path against the plain path.
+ * Directed coherence-race tests: remote coherence events aimed
+ * exactly between two same-line accesses of one cluster, under the
+ * coherence checker. A repeat reference to a line the cluster has
+ * just hit must still observe every invalidation, Update and
+ * demotion that arrived in between — a stale hit is caught by the
+ * oracle as well as by the stat assertions.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <string>
-
-#include "check/checker.hh"
-#include "check/traffic.hh"
 #include "core/machine.hh"
 
 namespace
@@ -36,11 +28,11 @@ twoClusterConfig(CoherenceProtocol protocol)
     return config;
 }
 
-TEST(RefFilter, RemoteUpgradeBetweenSameLineReadsForcesMiss)
+TEST(SccCoherenceRace, RemoteUpgradeBetweenSameLineReadsForcesMiss)
 {
-    // cpu 0 (cluster 0) arms a read filter on line L; cpu 1
-    // (cluster 1) upgrades L, invalidating cluster 0's copy. The
-    // next read of L from cpu 0 must take the slow path and miss.
+    // cpu 0 (cluster 0) hits line L; cpu 1 (cluster 1) upgrades L,
+    // invalidating cluster 0's copy. The next read of L from cpu 0
+    // must miss.
     Machine machine(
         twoClusterConfig(CoherenceProtocol::WriteInvalidate));
     const Addr line = 0x1000;
@@ -48,7 +40,7 @@ TEST(RefFilter, RemoteUpgradeBetweenSameLineReadsForcesMiss)
 
     machine.access(0, RefType::Read, line, now, 1);       // miss
     now += 200;
-    machine.access(0, RefType::Read, line, now, 1);       // hit, arms
+    machine.access(0, RefType::Read, line, now, 1);       // hit
     now += 200;
     machine.access(1, RefType::Read, line, now, 1);       // miss
     now += 200;
@@ -59,14 +51,14 @@ TEST(RefFilter, RemoteUpgradeBetweenSameLineReadsForcesMiss)
 
     machine.access(0, RefType::Read, line, now, 1);
     EXPECT_EQ((std::uint64_t)machine.scc(0).readMisses.value(), 2u)
-        << "filter survived a remote invalidation";
+        << "a hit survived a remote invalidation";
     EXPECT_EQ((std::uint64_t)machine.scc(0).readHits.value(), 1u);
     EXPECT_EQ(
         (std::uint64_t)machine.scc(0).invalidationsReceived.value(),
         1u);
 }
 
-TEST(RefFilter, RemoteWriteMissBetweenSameLineReadsForcesMiss)
+TEST(SccCoherenceRace, RemoteWriteMissBetweenSameLineReadsForcesMiss)
 {
     // Same shape, but the remote write misses (ReadExcl on the bus)
     // instead of upgrading — the other invalidation source.
@@ -77,7 +69,7 @@ TEST(RefFilter, RemoteWriteMissBetweenSameLineReadsForcesMiss)
 
     machine.access(0, RefType::Read, line, now, 1);       // miss
     now += 200;
-    machine.access(0, RefType::Read, line, now, 1);       // hit, arms
+    machine.access(0, RefType::Read, line, now, 1);       // hit
     now += 200;
     machine.access(1, RefType::Write, line, now, 1);      // ReadExcl
     ASSERT_EQ(machine.scc(0).stateOf(line),
@@ -89,14 +81,14 @@ TEST(RefFilter, RemoteWriteMissBetweenSameLineReadsForcesMiss)
     EXPECT_EQ((std::uint64_t)machine.scc(0).readHits.value(), 1u);
 }
 
-TEST(RefFilter, UpdateAbsorbBetweenWritesDropsExclusivity)
+TEST(SccCoherenceRace, UpdateAbsorbBetweenWritesDropsExclusivity)
 {
-    // Write-update: cpu 0 holds line L Modified with a write filter
-    // armed. cpu 1's write miss fetches a shared copy (demoting
-    // cpu 0) and broadcasts an Update, which cpu 0 absorbs. cpu 0's
-    // next write must NOT fast-path as an exclusive hit — it has to
-    // take the slow path and broadcast its own Update, or cpu 1
-    // would be left with stale data.
+    // Write-update: cpu 0 holds line L Modified and has just hit
+    // it. cpu 1's write miss fetches a shared copy (demoting cpu 0)
+    // and broadcasts an Update, which cpu 0 absorbs. cpu 0's next
+    // write must NOT hit as if it held L exclusively — it has to
+    // broadcast its own Update, or cpu 1 would be left with stale
+    // data.
     Machine machine(
         twoClusterConfig(CoherenceProtocol::WriteUpdate));
     const Addr line = 0x3000;
@@ -104,7 +96,7 @@ TEST(RefFilter, UpdateAbsorbBetweenWritesDropsExclusivity)
 
     machine.access(0, RefType::Write, line, now, 1);  // excl fill
     now += 200;
-    machine.access(0, RefType::Write, line, now, 1);  // hit, arms
+    machine.access(0, RefType::Write, line, now, 1);  // hit
     ASSERT_EQ(machine.scc(0).stateOf(line),
               CoherenceState::Modified);
     now += 200;
@@ -126,11 +118,10 @@ TEST(RefFilter, UpdateAbsorbBetweenWritesDropsExclusivity)
         << "remote copy survives under write-update";
 }
 
-TEST(RefFilter, RemoteReadDemotionBetweenWritesForcesBroadcast)
+TEST(SccCoherenceRace, RemoteReadDemotionBetweenWritesForcesBroadcast)
 {
-    // The demotion that does NOT flush filters: a remote read
-    // snoop downgrades Modified to Shared in place. The armed
-    // write filter must fail its live state re-check, so the next
+    // The demotion that leaves the line resident: a remote read
+    // snoop downgrades Modified to Shared in place, so the next
     // write broadcasts an Update instead of silently hitting.
     Machine machine(
         twoClusterConfig(CoherenceProtocol::WriteUpdate));
@@ -139,7 +130,7 @@ TEST(RefFilter, RemoteReadDemotionBetweenWritesForcesBroadcast)
 
     machine.access(0, RefType::Write, line, now, 1);  // excl fill
     now += 200;
-    machine.access(0, RefType::Write, line, now, 1);  // hit, arms
+    machine.access(0, RefType::Write, line, now, 1);  // hit
     now += 200;
     machine.access(1, RefType::Read, line, now, 1);   // demote
     ASSERT_EQ(machine.scc(0).stateOf(line),
@@ -154,48 +145,5 @@ TEST(RefFilter, RemoteReadDemotionBetweenWritesForcesBroadcast)
     EXPECT_EQ((std::uint64_t)machine.scc(1).updatesReceived.value(),
               1u);
 }
-
-/**
- * Full-run equivalence: the fuzz traffic mix through two machines
- * identical except for the fastPath switch must produce the same
- * statistics dump, line for line — timing, stalls, hit/miss
- * classification and coherence traffic all included. Both runs are
- * checked, so the oracle would also flag any divergence in data
- * visibility.
- */
-class RefFilterEquivalence
-    : public ::testing::TestWithParam<CoherenceProtocol>
-{
-};
-
-TEST_P(RefFilterEquivalence, FastPathMatchesPlainPathExactly)
-{
-    std::string dumps[2];
-    for (int fast = 0; fast < 2; ++fast) {
-        MachineConfig config = twoClusterConfig(GetParam());
-        config.cpusPerCluster = 2;
-        config.scc.sizeBytes = 16 << 10;  // small: evictions too
-        config.scc.fastPath = fast == 1;
-
-        Machine machine(config);
-        check::TrafficParams traffic;
-        traffic.seed = 42;
-        traffic.steps = 20000;
-        traffic.totalCpus = config.totalCpus();
-        traffic.lineBytes = config.scc.lineBytes;
-        check::TrafficGen(traffic).run(machine);
-
-        std::ostringstream os;
-        machine.statsRoot().dump(os);
-        dumps[fast] = os.str();
-    }
-    EXPECT_EQ(dumps[0], dumps[1])
-        << "fast path must be invisible in the stats";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Protocols, RefFilterEquivalence,
-    ::testing::Values(CoherenceProtocol::WriteInvalidate,
-                      CoherenceProtocol::WriteUpdate));
 
 } // namespace

@@ -2,13 +2,23 @@
  * @file
  * Tests for the Shared Cluster Cache: bank interleaving and
  * contention, MSHR merging (the prefetch mechanism), hit/miss
- * timing and statistics.
+ * timing and statistics, and a fixture pinning the cache's whole
+ * hit/merge/retire/eviction sequence under fuzz traffic. The
+ * directed coherence races live in test_ref_filter.cpp.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "check/traffic.hh"
+#include "core/machine.hh"
 #include "mem/bus.hh"
 #include "mem/scc.hh"
 
@@ -200,6 +210,154 @@ TEST(SccConfig, IfetchIsRejected)
     SharedClusterCache scc(&root, 0, 1, SccParams{}, &bus);
     EXPECT_DEATH(scc.access(0, RefType::Ifetch, 0, 0),
                  "instruction fetches");
+}
+
+constexpr std::uint64_t fnvBasis = 0xcbf29ce484222325ull;
+
+/** FNV-1a over @p bytes, continuing from @p hash. */
+std::uint64_t
+fnv1a(const void *data, std::size_t bytes, std::uint64_t hash = fnvBasis)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < bytes; ++i)
+        hash = (hash ^ p[i]) * 0x100000001b3ull;
+    return hash;
+}
+
+/**
+ * Forwards every reference and fence to a Machine and folds the
+ * recorder's live-MSHR count after each one into a digest: the
+ * mshrLive series at reference granularity.
+ */
+class LiveMshrProbe : public MemorySystem
+{
+  public:
+    explicit LiveMshrProbe(Machine &machine) : _machine(machine) {}
+
+    Cycle
+    access(CpuId cpu, RefType type, Addr addr, Cycle now,
+           std::uint32_t instrGap) override
+    {
+        Cycle done = _machine.access(cpu, type, addr, now, instrGap);
+        sample();
+        return done;
+    }
+
+    Cycle
+    fence(CpuId cpu, Cycle now) override
+    {
+        Cycle done = _machine.fence(cpu, now);
+        sample();
+        return done;
+    }
+
+    std::uint64_t digest = fnvBasis;
+    std::uint64_t peak = 0;
+
+  private:
+    void
+    sample()
+    {
+        std::uint64_t live = _machine.recorder()->mshrLive();
+        peak = std::max(peak, live);
+        digest = fnv1a(&live, sizeof live, digest);
+    }
+
+    Machine &_machine;
+};
+
+/**
+ * One seeded fuzz-traffic run, summarized as a fixture line: the
+ * stats dump's digest, the recorder's MSHR allocate/merge/retire
+ * counts, and the live-MSHR series' digest and peak.
+ */
+std::string
+sccEventsLine(CoherenceProtocol protocol, std::uint32_t assoc,
+              bool rand, bool weak)
+{
+    MachineConfig config;
+    config.numClusters = 2;
+    config.cpusPerCluster = 2;
+    config.scc.sizeBytes = 16 << 10;
+    config.scc.assoc = assoc;
+    config.scc.protocol = protocol;
+    if (rand) {
+        config.scc.sec.mode = IsolationMode::Rand;
+        config.scc.sec.domains = 2;
+        config.scc.sec.rekeyFills = 512;
+    }
+    if (weak) {
+        config.consistency.model = ConsistencyModel::Weak;
+        config.consistency.storeBufferEntries = 4;
+    }
+    config.obs.enabled = true;
+    config.obs.eventCap = 1024;
+
+    Machine machine(config);
+    check::TrafficParams traffic;
+    traffic.seed = 11;
+    traffic.steps = 20000;
+    traffic.totalCpus = config.totalCpus();
+    traffic.lineBytes = config.scc.lineBytes;
+    traffic.fenceFraction = weak ? 0.02 : 0.0;
+    LiveMshrProbe probe(machine);
+    check::TrafficGen(traffic).run(probe);
+
+    // The machine's statistics without the checker's own counters,
+    // so the fixture also holds when SCMP_CHECK attaches a checker.
+    std::ostringstream dump;
+    machine.statsRoot().dump(dump);
+    std::istringstream lines(dump.str());
+    std::string stats;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("system.check.", 0) != 0)
+            stats += line + "\n";
+    }
+    const obs::Recorder &recorder = *machine.recorder();
+
+    char line[256];
+    std::snprintf(
+        line, sizeof line,
+        "%s-a%u-%s-%s stats=%016llx allocs=%llu merges=%llu "
+        "retires=%llu live=%016llx live_peak=%llu",
+        protocol == CoherenceProtocol::WriteUpdate ? "update"
+                                                   : "invalidate",
+        assoc, rand ? "rand" : "none", weak ? "weak" : "sc",
+        (unsigned long long)fnv1a(stats.data(), stats.size()),
+        (unsigned long long)recorder.mshrAllocs(),
+        (unsigned long long)recorder.mshrMerges(),
+        (unsigned long long)recorder.mshrRetires(),
+        (unsigned long long)probe.digest,
+        (unsigned long long)probe.peak);
+    return line;
+}
+
+TEST(SccEvents, MatchFixture)
+{
+    std::vector<std::string> actual;
+    for (CoherenceProtocol protocol :
+         {CoherenceProtocol::WriteInvalidate,
+          CoherenceProtocol::WriteUpdate}) {
+        for (std::uint32_t assoc : {1u, 4u}) {
+            for (bool rand : {false, true}) {
+                for (bool weak : {false, true})
+                    actual.push_back(
+                        sccEventsLine(protocol, assoc, rand, weak));
+            }
+        }
+    }
+
+    std::ifstream in(std::string(SCMP_GOLDEN_DIR) +
+                     "/scc_events.txt");
+    ASSERT_TRUE(in.good()) << "missing scc_events.txt fixture";
+    std::vector<std::string> expected;
+    for (std::string line; std::getline(in, line);) {
+        if (!line.empty() && line[0] != '#')
+            expected.push_back(line);
+    }
+    ASSERT_EQ(expected.size(), actual.size());
+    for (std::size_t i = 0; i < actual.size(); ++i)
+        EXPECT_EQ(expected[i], actual[i]);
 }
 
 } // namespace

@@ -694,6 +694,38 @@ TEST(Sweep, ResumeRecomputesOnlyMissingPoints)
     std::remove(studyPath.c_str());
 }
 
+TEST(Sweep, SweepsOfOneRunShareTheStore)
+{
+    // A bench sweeps once per workload into one --results file: the
+    // run's first sweep truncates it, later sweeps append.
+    std::string path = tempPath("sweep_shared.jsonl");
+    {
+        std::ofstream stale(path);
+        stale << "left over from an earlier run\n";
+    }
+    sweep::SweepOptions options;
+    options.resultsPath = path;
+    sweep::SweepExecutor(options).run(miniFactory(), MachineConfig{},
+                                      testSizes, {1});
+    sweep::SweepExecutor(options).run(miniFactory(), MachineConfig{},
+                                      testSizes, {2});
+
+    std::size_t lines = 0;
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);)
+        ++lines;
+    EXPECT_EQ(lines, 2 * testSizes.size());
+
+    // A resumed run over both halves computes nothing.
+    options.resume = true;
+    sweep::SweepExecutor resumed(options);
+    resumed.run(miniFactory(), MachineConfig{}, testSizes, testProcs);
+    EXPECT_EQ(resumed.runStats().reused,
+              testSizes.size() * testProcs.size());
+    EXPECT_EQ(resumed.runStats().computed, 0u);
+    std::remove(path.c_str());
+}
+
 TEST(SweepDeath, StoredStudyRecordWithAnotherAxisIsFatal)
 {
     // One single-point list per study. Resuming over a record whose
@@ -710,8 +742,15 @@ TEST(SweepDeath, StoredStudyRecordWithAnotherAxisIsFatal)
                         {64}),
         sweep::isolationPoints(base, {IsolationMode::WayPart}, {2}),
     };
-    std::string path = tempPath("sweep_collision.jsonl");
+    int studyIndex = 0;
     for (const sweep::PointList &study : studies) {
+        // One store per study: later sweeps of this process would
+        // append to an earlier study's store.
+        std::string path =
+            tempPath(("sweep_collision_" +
+                      std::to_string(studyIndex++) + ".jsonl")
+                         .c_str());
+        std::remove(path.c_str());
         sweep::SweepOptions options;
         options.resultsPath = path;
         sweep::SweepExecutor(options).run(miniFactory(), study);
@@ -733,8 +772,8 @@ TEST(SweepDeath, StoredStudyRecordWithAnotherAxisIsFatal)
             sweep::SweepExecutor(options).run(miniFactory(), study),
             ::testing::ExitedWithCode(1),
             "does not match its key's configuration");
+        std::remove(path.c_str());
     }
-    std::remove(path.c_str());
 }
 
 TEST(SweepDeath, JobsMustBeAutoOrCount)
